@@ -73,6 +73,19 @@ class GenerativeBackend:
 
     def __post_init__(self):
         self.detector_labels = tuple(self.detector_labels)
+        L, d = len(self.detector_labels), self.model.dim
+        if len(set(self.detector_labels)) != L:
+            raise ValueError("detector labels must be unique")
+        if self.preproc.out_dim != d:
+            raise ValueError("PLDA model dimension disagrees with preprocessing")
+        counts, sums, sq_terms = self.enroll.counts, self.enroll.sums, self.enroll.sq_terms
+        if np.shape(counts) != (L,) or np.shape(sums) != (L, d) or np.shape(sq_terms) != (L,):
+            raise ValueError(
+                f"enrollment statistics must be counts ({L},), sums ({L}, {d}) "
+                f"and sq_terms ({L},) for {L} detectors of dimension {d}"
+            )
+        if not np.all(np.asarray(counts) >= 1):
+            raise ValueError("every enrollment count must be at least 1")
 
     @property
     def n_detectors(self) -> int:

@@ -25,7 +25,8 @@ FORMAT_VERSION = "1"
 
 
 class ModelFormatError(ValueError):
-    """Model file is missing sections or has an unknown kind."""
+    """Model file is missing sections, has an unknown kind, or holds parts
+    that disagree with each other (shapes, dimensions, duplicate labels)."""
 
 
 def _preproc_doc(p: AffinePreproc) -> dict:
@@ -116,9 +117,22 @@ def model_to_doc(backend, train_config=None, seed=None) -> dict:
 
 
 def model_from_doc(doc: dict):
+    if not isinstance(doc, dict):
+        raise ModelFormatError("model file must hold one JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
+    if kind not in ("plda", "dplda", "hdplda"):
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    try:
+        return _backend_from_doc(doc, kind)
+    except KeyError as exc:
+        raise ModelFormatError(f"{kind} model file is missing section {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"malformed {kind} model file: {exc}") from exc
+
+
+def _backend_from_doc(doc: dict, kind: str):
     if kind == "plda":
         model = PldaModel(
             mu=np.array(doc["plda"]["mu"]),
@@ -138,17 +152,15 @@ def model_from_doc(doc: dict):
         )
     if kind == "dplda":
         return _flat_from(doc)
-    if kind == "hdplda":
-        stage1 = _flat_from(doc["stage1"])
-        cmap = cluster_map_from_json(json.dumps(doc["cluster_map"]))
-        shifts = np.array([doc["shifts"][name] for name in stage1.detector_labels])
-        return HierBackend(
-            stage1=stage1,
-            stage2=_flat_from(doc["stage2"]),
-            shifts=shifts,
-            cluster_map=cmap,
-        )
-    raise ModelFormatError(f"unknown model kind {kind!r}")
+    stage1 = _flat_from(doc["stage1"])  # kind == "hdplda"
+    cmap = cluster_map_from_json(json.dumps(doc["cluster_map"]))
+    shifts = np.array([doc["shifts"][name] for name in stage1.detector_labels])
+    return HierBackend(
+        stage1=stage1,
+        stage2=_flat_from(doc["stage2"]),
+        shifts=shifts,
+        cluster_map=cmap,
+    )
 
 
 def save_model(path, backend, train_config=None, seed=None) -> None:

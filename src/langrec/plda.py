@@ -5,12 +5,16 @@ observations x | y ~ N(y, W^-1), with B_prec and W the between- and
 within-class precision matrices. This module trains the model by weighted
 EM, evaluates the exact multi-enrollment log-likelihood ratio, and converts
 the model into the four pairwise scoring parameters (Lambda, Gamma, c, k).
+
+Batched exact scoring works in the basis that simultaneously diagonalises
+the two precisions (Ioffe, ECCV 2006): there W = I and B_prec = diag(psi),
+so every B_prec + nW is diagonal.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -66,6 +70,10 @@ class PldaModel:
     mu: np.ndarray
     B_prec: np.ndarray
     W: np.ndarray
+    # Derived diagonal basis: T' W^-1 T = I and T' B_prec^-1 T = diag(1 / psi),
+    # so x -> T'x maps the model to W = I, B_prec = diag(psi).
+    psi: np.ndarray = field(init=False, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=np.float64)
@@ -78,6 +86,9 @@ class PldaModel:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "B_prec", B)
         object.__setattr__(self, "W", W)
+        psi, V = scipy.linalg.eigh(B, W)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "T", W @ V)
 
     @property
     def dim(self) -> int:
@@ -301,7 +312,7 @@ class EnrollmentStats:
 
     counts: np.ndarray  # (L,) sample counts
     sums: np.ndarray  # (L, d) vector sums
-    sq_terms: np.ndarray  # (L,) sum_i x_i' W x_i under the scoring model
+    sq_terms: np.ndarray  # (L,) sum_i x_i' W x_i; cancels out of the LLR
 
 
 def enrollment_stats(model: PldaModel, groups: list[np.ndarray]) -> EnrollmentStats:
@@ -316,64 +327,35 @@ def enrollment_stats(model: PldaModel, groups: list[np.ndarray]) -> EnrollmentSt
 def exact_llr_matrix(
     model: PldaModel, stats: EnrollmentStats, X: np.ndarray
 ) -> np.ndarray:
-    """Exact LLRs of every test row against every enrollment group: (N, L)."""
+    """Exact LLRs of every test row against every enrollment group: (N, L).
+
+    In the diagonal basis (x~ = T'x, mu~ = T'mu, a_j = psi mu~ + T' sums_j,
+    S_j the enrollment count) the LLR separates per component k into
+    c_jk + x~_k G1_jk + x~_k^2 G2_jk, with
+    G1_jk = a_jk / (psi_k + S_j + 1) - psi_k mu~_k / (psi_k + 1),
+    G2_jk = -S_j / (2 (psi_k + 1) (psi_k + S_j + 1)) and
+    2 c_jk = log(1 + 1/psi_k) - log(1 + 1/(psi_k + S_j))
+             + psi_k mu~_k^2 / (psi_k + 1) - a_jk^2 / ((psi_k + S_j)(psi_k + S_j + 1)),
+    so all detectors are scored by two matrix products. The 2 pi, log|W| and
+    x'Wx terms cancel, so sq_terms is not needed.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    N, d = X.shape
-    B, W, mu = model.B_prec, model.W, model.mu
-    logdet_W = _chol_logdet(np.linalg.cholesky(W))
-    logdet_B = _chol_logdet(np.linalg.cholesky(B))
-    Bmu = B @ mu
-    mu_B_mu = float(mu @ Bmu)
-    WX = X @ W
-    xWx = np.einsum("ij,ij->i", WX, X)
-
-    # Marginal of each test vector alone.
-    L1 = np.linalg.cholesky(B + W)
-    g_test = Bmu[None, :] + WX
-    quad1 = np.einsum("ij,ij->i", g_test, _chol_solve(L1, g_test.T).T)
-    marg_test = (
-        -0.5 * d * _LOG_2PI
-        + 0.5 * logdet_W
-        + 0.5 * logdet_B
-        - 0.5 * _chol_logdet(L1)
-        - 0.5 * (mu_B_mu + xWx)
-        + 0.5 * quad1
+    psi = model.psi
+    mu_t = model.mu @ model.T
+    psi_mu = psi * mu_t
+    S = stats.counts[:, None]
+    a = psi_mu + stats.sums @ model.T
+    G1 = a / (psi + S + 1.0) - psi_mu / (psi + 1.0)
+    G2 = -0.5 * S / ((psi + 1.0) * (psi + S + 1.0))
+    const = 0.5 * np.sum(
+        np.log1p(1.0 / psi)
+        - np.log1p(1.0 / (psi + S))
+        + psi_mu * mu_t / (psi + 1.0)
+        - a * a / ((psi + S) * (psi + S + 1.0)),
+        axis=1,
     )
-
-    out = np.empty((N, len(stats.counts)))
-    for j in range(len(stats.counts)):
-        S = stats.counts[j]
-        g_enr = Bmu + W @ stats.sums[j]
-        # Enrollment-only marginal.
-        Le = np.linalg.cholesky(B + S * W)
-        quad_e = float(g_enr @ _chol_solve(Le, g_enr))
-        marg_enr = (
-            -0.5 * S * d * _LOG_2PI
-            + 0.5 * S * logdet_W
-            + 0.5 * logdet_B
-            - 0.5 * _chol_logdet(Le)
-            - 0.5 * (mu_B_mu + stats.sq_terms[j])
-            + 0.5 * quad_e
-        )
-        # Joint marginal of enrollment plus each test vector.
-        Lj = np.linalg.cholesky(B + (S + 1) * W)
-        base = _chol_solve(Lj, g_enr)
-        WLjW = W @ _chol_inverse(Lj) @ W
-        quad_j = (
-            float(g_enr @ base)
-            + 2.0 * (WX @ base)
-            + np.einsum("ij,jk,ik->i", X, WLjW, X)
-        )
-        marg_joint = (
-            -0.5 * (S + 1) * d * _LOG_2PI
-            + 0.5 * (S + 1) * logdet_W
-            + 0.5 * logdet_B
-            - 0.5 * _chol_logdet(Lj)
-            - 0.5 * (mu_B_mu + stats.sq_terms[j] + xWx)
-            + 0.5 * quad_j
-        )
-        out[:, j] = marg_joint - marg_enr - marg_test
-    return out
+    Xt = X @ model.T
+    return Xt @ G1.T + (Xt * Xt) @ G2.T + const
 
 
 def to_pair_params(model: PldaModel) -> PairScoreParams:

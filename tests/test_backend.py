@@ -5,13 +5,15 @@ import pytest
 
 from langrec.backend import (
     FlatBackend,
+    GenerativeBackend,
     fit_generative_backend,
     init_from_generative,
 )
 from langrec.clustering import cluster_priors
 from langrec.dataio import EmbeddingSet, balance_weights
 from langrec.hier import combine_llr, init_hier, prior_odds
-from langrec.plda import PairScoreParams, approx_llr, to_pair_params
+from langrec.modelio import ModelFormatError, model_from_doc, model_to_doc
+from langrec.plda import EnrollmentStats, PairScoreParams, approx_llr, to_pair_params
 from langrec.preproc import AffinePreproc
 
 
@@ -124,6 +126,65 @@ class TestGenerativeBackend:
         for lang, mean in means.items():
             scores = backend.score_all(mean)
             assert backend.detector_labels[int(np.argmax(scores))] == lang
+
+
+class TestGenerativeBackendChecks:
+    @pytest.fixture(scope="class")
+    def backend(self):
+        rng = np.random.default_rng(8)
+        train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
+        return fit_generative_backend(train, None, out_dim=2)
+
+    def rebuild(self, backend, labels=None, counts=None, sums=None, sq_terms=None, preproc=None):
+        e = backend.enroll
+        return GenerativeBackend(
+            preproc=backend.preproc if preproc is None else preproc,
+            model=backend.model,
+            detector_labels=backend.detector_labels if labels is None else labels,
+            enroll=EnrollmentStats(
+                counts=e.counts if counts is None else counts,
+                sums=e.sums if sums is None else sums,
+                sq_terms=e.sq_terms if sq_terms is None else sq_terms,
+            ),
+        )
+
+    def test_valid_parts_accepted(self, backend):
+        assert self.rebuild(backend).n_detectors == 3
+
+    def test_duplicate_labels(self, backend):
+        with pytest.raises(ValueError, match="unique"):
+            self.rebuild(backend, labels=("l0", "l1", "l0"))
+
+    def test_fewer_labels_than_enrollment_rows(self, backend):
+        with pytest.raises(ValueError, match="enrollment statistics"):
+            self.rebuild(backend, labels=backend.detector_labels[:2])
+
+    def test_sums_of_wrong_dimension(self, backend):
+        with pytest.raises(ValueError, match="enrollment statistics"):
+            self.rebuild(backend, sums=np.zeros((3, 3)))
+
+    def test_sq_terms_of_wrong_shape(self, backend):
+        with pytest.raises(ValueError, match="enrollment statistics"):
+            self.rebuild(backend, sq_terms=np.zeros((3, 1)))
+
+    def test_count_below_one(self, backend):
+        with pytest.raises(ValueError, match="at least 1"):
+            self.rebuild(backend, counts=np.array([4.0, 0.0, 5.0]))
+
+    def test_preproc_dimension_disagrees_with_model(self, backend):
+        wider = AffinePreproc(A=np.eye(3, 5), b=np.zeros(3))
+        with pytest.raises(ValueError, match="dimension disagrees"):
+            self.rebuild(backend, preproc=wider)
+
+    def test_model_file_with_inconsistent_parts_is_format_error(self, backend):
+        doc = model_to_doc(backend)
+        doc["enroll"][0]["sum"] = doc["enroll"][0]["sum"][:1]
+        with pytest.raises(ModelFormatError, match="malformed plda model file"):
+            model_from_doc(doc)
+        doc = model_to_doc(backend)
+        doc["enroll"][2]["n"] = 0
+        with pytest.raises(ModelFormatError, match="at least 1"):
+            model_from_doc(doc)
 
 
 def eq5_combination_oracle(L_c, L_lc, P_c, P_lc):

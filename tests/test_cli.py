@@ -259,6 +259,32 @@ class TestScoreCommand:
         data = workdir / "data"
         assert main(["score", str(bad), str(data / "test.tsv"), str(tmp_path / "o.tsv")]) == 2
 
+    def score_model_doc(self, workdir, tmp_path, doc):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        data = workdir / "data"
+        return main(["score", str(bad), str(data / "test.tsv"), str(tmp_path / "o.tsv")])
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"format_version": "1", "kind": "plda"}, "plda model file is missing section 'plda'"),
+            ({"format_version": "1", "kind": "dplda"}, "missing section 'detectors'"),
+            ({"format_version": "1", "kind": "hdplda"}, "missing section 'stage1'"),
+            ([1, 2], "model file must hold one JSON object"),
+        ],
+    )
+    def test_malformed_model_file_exits_2(self, workdir, tmp_path, capsys, doc, message):
+        assert self.score_model_doc(workdir, tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "plda.json").read_text())
+        doc["enroll"][1]["language"] = doc["enroll"][0]["language"]
+        assert self.score_model_doc(workdir, tmp_path, doc) == 2
+        assert "detector labels must be unique" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     @pytest.fixture()
