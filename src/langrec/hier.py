@@ -18,6 +18,7 @@ from .clustering import ClusterMap
 from .dataio import EmbeddingSet, per_language_means
 from .backend import FlatBackend, init_from_generative
 from .plda import pair_score_matrix
+from .preproc import length_normalize
 
 
 def prior_odds(p: float) -> float:
@@ -106,13 +107,12 @@ class HierBackend:
         """(cluster scores (N, C), cluster-conditional language scores (N, L))."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         L_c = self.stage1.score_matrix(X)
+        pre2 = self.stage2.preproc
+        U2 = length_normalize(shifted_projection(pre2.A, pre2.b, self.shifts, X))
         L_lc = np.empty((X.shape[0], self.n_detectors))
-        for ci in range(len(self.stage1.detector_labels)):
+        for ci, U in enumerate(U2):
             cols = np.flatnonzero(self._lang_cluster_idx == ci)
-            U2 = self.stage2.preproc.transform(X - self.shifts[ci])
-            L_lc[:, cols] = pair_score_matrix(
-                self.stage2.params, self.stage2.detectors[cols], U2
-            )
+            L_lc[:, cols] = pair_score_matrix(self.stage2.params, self.stage2.detectors[cols], U)
         return L_c, L_lc
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -123,6 +123,15 @@ class HierBackend:
 
     def score_all(self, x: np.ndarray) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def shifted_projection(A, b, shifts, X) -> np.ndarray:
+    """Affine outputs A (x - s_c) + b of every row of X under every shift: (C, N, d).
+
+    Evaluated as (A x + b) - A s_c, so the batch is projected once and each
+    cluster subtracts one projected shift.
+    """
+    return (X @ A.T + b)[None, :, :] - (shifts @ A.T)[:, None, :]
 
 
 def combine_matrix(L_c, L_lc, lang_cluster_idx, P_c, P_lc, singleton) -> np.ndarray:

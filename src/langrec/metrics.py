@@ -93,8 +93,12 @@ def actual_dcf(
     thr = bayes_threshold(p_target, c_miss, c_fa)
     pmiss = float(np.mean(tar <= thr))
     pfa = float(np.mean(non > thr))
+    return pmiss, pfa, _normalized_dcf(pmiss, pfa, p_target, c_miss, c_fa)
+
+
+def _normalized_dcf(pmiss, pfa, p_target, c_miss, c_fa):
     dcf = c_miss * p_target * pmiss + c_fa * (1.0 - p_target) * pfa
-    return pmiss, pfa, dcf / _dcf_normalizer(p_target, c_miss, c_fa)
+    return dcf / _dcf_normalizer(p_target, c_miss, c_fa)
 
 
 def _sweep_rates(tar, non):
@@ -221,24 +225,36 @@ def bootstrap_ci(
     ids = sorted(set(trials.sample_ids))
     if len(ids) < 2:
         raise ValueError("need at least 2 distinct sample_ids")
-    by_sample = {sid: [] for sid in ids}
-    for i, sid in enumerate(trials.sample_ids):
-        by_sample[sid].append(i)
-    trial_idx = {sid: np.array(v, dtype=np.intp) for sid, v in by_sample.items()}
+    # A drawn sample brings all of its trials, so a replicate's DCF needs
+    # only four counts per sample, weighted by how often the sample is drawn.
+    pos = {sid: i for i, sid in enumerate(ids)}
+    owner = np.array([pos[sid] for sid in trials.sample_ids], dtype=np.intp)
     is_target = trials.is_target
+    thr = bayes_threshold(p_target, c_miss, c_fa)
+    per_sample = np.vstack(
+        [
+            np.bincount(owner[trial_mask], minlength=len(ids))
+            for trial_mask in (
+                is_target,
+                ~is_target,
+                is_target & (scores <= thr),
+                ~is_target & (scores > thr),
+            )
+        ]
+    )
 
-    values = np.empty(n_boot)
+    totals = np.empty((n_boot, 4), dtype=np.int64)
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
         for attempt in range(max_redraws + 1):
             draw = rng.integers(0, len(ids), size=len(ids))
-            idx = np.concatenate([trial_idx[ids[i]] for i in draw])
-            tgt = is_target[idx]
-            if tgt.any() and not tgt.all():
+            totals[rep] = per_sample @ np.bincount(draw, minlength=len(ids))
+            if totals[rep, 0] > 0 and totals[rep, 1] > 0:
                 break
         else:
             raise ValueError("bootstrap replicate kept drawing degenerate trial sets")
-        values[rep] = actual_dcf(scores[idx], tgt, p_target, c_miss, c_fa)[2]
+    n_tar, n_non, misses, false_alarms = totals.T
+    values = _normalized_dcf(misses / n_tar, false_alarms / n_non, p_target, c_miss, c_fa)
 
     values.sort()
     lo_rank = max(1, math.ceil(0.025 * n_boot))

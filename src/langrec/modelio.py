@@ -25,8 +25,8 @@ FORMAT_VERSION = "1"
 
 
 class ModelFormatError(ValueError):
-    """Model file is missing sections, has an unknown kind, or holds parts
-    that disagree with each other (shapes, dimensions, duplicate labels)."""
+    """Model file is not JSON, is missing sections, has an unknown kind, or
+    holds parts that disagree with each other (shapes, dimensions, labels)."""
 
 
 def _preproc_doc(p: AffinePreproc) -> dict:
@@ -171,7 +171,10 @@ def save_model(path, backend, train_config=None, seed=None) -> None:
 
 def load_model(path):
     """Returns (backend, metadata dict with train_config_used and seed)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from None
     backend = model_from_doc(doc)
     meta = {
         "kind": doc["kind"],

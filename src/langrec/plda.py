@@ -42,6 +42,8 @@ def _cholesky_or_repair(M: np.ndarray, name: str) -> np.ndarray:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         ridge = _RIDGE_SCALE * np.trace(M) / M.shape[0]
+        if not ridge > 0.0:  # scaled by a non-positive trace, the ridge repairs nothing
+            raise ValueError(f"{name} is singular beyond ridge repair") from None
         logger.warning("%s not positive definite; ridge-repairing with %.3g", name, ridge)
         try:
             return np.linalg.cholesky(M + ridge * np.eye(M.shape[0]))
@@ -403,12 +405,15 @@ def pair_score(params: PairScoreParams, w_l: np.ndarray, w: np.ndarray) -> float
 def pair_score_matrix(
     params: PairScoreParams, detectors: np.ndarray, U: np.ndarray
 ) -> np.ndarray:
-    """Pairwise scores of every test row in U against every detector row: (N, L)."""
+    """Pairwise scores of every test row in U against every detector row: (N, L).
+
+    Reads only params.Lambda, .Gamma, .c and .k; neither matrix need be symmetric.
+    """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     detectors = np.atleast_2d(np.asarray(detectors, dtype=np.float64))
     cross = 2.0 * U @ params.Lambda @ detectors.T
-    q_u = np.einsum("ij,jk,ik->i", U, params.Gamma, U)
-    q_d = np.einsum("ij,jk,ik->i", detectors, params.Gamma, detectors)
+    q_u = ((U @ params.Gamma) * U).sum(axis=1)
+    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=1)
     lin_u = U @ params.c
     lin_d = detectors @ params.c
     return cross + q_u[:, None] + q_d[None, :] + lin_u[:, None] + lin_d[None, :] + params.k

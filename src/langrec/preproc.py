@@ -51,20 +51,16 @@ class AffinePreproc:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.in_dim:
             raise ValueError(f"expected dim {self.in_dim}, got {X.shape[1]}")
-        Z = X @ self.A.T + self.b
-        norms = np.linalg.norm(Z, axis=1)
-        if np.any(norms < LENGTH_NORM_EPS):
-            raise ValueError("degenerate embedding: affine output has near-zero norm")
-        return Z / norms[:, None]
+        return length_normalize(X @ self.A.T + self.b)
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
+    """Scale a vector, or each vector along the last axis, to unit Euclidean norm."""
     v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm < LENGTH_NORM_EPS:
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(norms < LENGTH_NORM_EPS):
         raise ValueError("degenerate embedding: near-zero norm")
-    return v / norm
+    return v / norms
 
 
 def apply(preproc: AffinePreproc, x: np.ndarray) -> np.ndarray:

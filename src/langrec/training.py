@@ -15,13 +15,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .backend import FlatBackend
 from .dataio import EmbeddingSet, TrialSet, group_indices
-from .hier import HierBackend
-from .plda import PairScoreParams
+from .hier import HierBackend, shifted_projection
+from .plda import PairScoreParams, pair_score_matrix
 from .preproc import AffinePreproc, LENGTH_NORM_EPS
 
 logger = logging.getLogger(__name__)
@@ -235,29 +236,26 @@ class HierCombineInfo:
 # Forward / reverse passes on parameter dictionaries
 
 
-def _stage_forward(A, b, X):
-    Z = X @ A.T + b
-    norms = np.linalg.norm(Z, axis=1)
+def _unit_rows(Z):
+    """Length normalisation along the last axis, with the norms kept for the backward pass."""
+    norms = np.linalg.norm(Z, axis=-1)
     if np.any(norms < LENGTH_NORM_EPS):
         raise FloatingPointError("degenerate embedding in batch (near-zero norm)")
-    return Z / norms[:, None], norms
+    return Z / norms[..., None], norms
 
 
-def _pair_forward(Lam, Gam, c, k, detectors, U):
-    cross = 2.0 * U @ Lam @ detectors.T
-    q_u = np.einsum("ij,jk,ik->i", U, Gam, U)
-    q_d = np.einsum("ij,jk,ik->i", detectors, Gam, detectors)
-    return (
-        cross
-        + q_u[:, None]
-        + q_d[None, :]
-        + (U @ c)[:, None]
-        + (detectors @ c)[None, :]
-        + k
+def _pair_params(params, prefix):
+    """A stage's pair-score parameters, unchecked: finite-difference checks perturb
+    Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
+    return SimpleNamespace(
+        Lambda=params[prefix + "Lambda"],
+        Gamma=params[prefix + "Gamma"],
+        c=params[prefix + "c"],
+        k=float(params[prefix + "k"]),
     )
 
 
-def _pair_backward(Lam, Gam, c, detectors, U, G):
+def _pair_backward(pair, detectors, U, G):
     """Gradients of sum(G * S) through the pairwise score matrix S.
 
     Exact for arbitrary (possibly asymmetric) stored Lambda/Gamma, which
@@ -269,9 +267,9 @@ def _pair_backward(Lam, Gam, c, detectors, U, G):
     g_Gamma = (U * row_sum[:, None]).T @ U + (detectors * col_sum[:, None]).T @ detectors
     g_c = U.T @ row_sum + detectors.T @ col_sum
     g_k = np.array(G.sum())
-    sym_G = Gam + Gam.T
-    g_det = 2.0 * G.T @ U @ Lam + col_sum[:, None] * (detectors @ sym_G + c)
-    g_U = 2.0 * G @ detectors @ Lam.T + row_sum[:, None] * (U @ sym_G + c)
+    sym_G = pair.Gamma + pair.Gamma.T
+    g_det = 2.0 * G.T @ U @ pair.Lambda + col_sum[:, None] * (detectors @ sym_G + pair.c)
+    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[:, None] * (U @ sym_G + pair.c)
     return g_Lambda, g_Gamma, g_c, g_k, g_det, g_U
 
 
@@ -281,12 +279,13 @@ def _lengthnorm_backward(g_U, U, norms):
 
 
 def _flat_stage_grads(params, prefix, X, G, U, norms):
-    """Parameter gradients of one flat stage plus the gradient w.r.t. its input X."""
-    Lam, Gam, c = params[prefix + "Lambda"], params[prefix + "Gamma"], params[prefix + "c"]
+    """Parameter gradients of one flat stage with input X and score gradient G."""
     dets = params[prefix + "detectors"]
-    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(Lam, Gam, c, dets, U, G)
+    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
+        _pair_params(params, prefix), dets, U, G
+    )
     g_Z = _lengthnorm_backward(g_U, U, norms)
-    grads = {
+    return {
         prefix + "A": g_Z.T @ X,
         prefix + "b": g_Z.sum(axis=0),
         prefix + "Lambda": g_Lambda,
@@ -295,49 +294,43 @@ def _flat_stage_grads(params, prefix, X, G, U, norms):
         prefix + "k": g_k,
         prefix + "detectors": g_det,
     }
-    return grads, g_Z @ params[prefix + "A"]
+
+
+def _flat_forward(params, prefix, X):
+    U, norms = _unit_rows(X @ params[prefix + "A"].T + params[prefix + "b"])
+    S = pair_score_matrix(_pair_params(params, prefix), params[prefix + "detectors"], U)
+    return S, U, norms
 
 
 def flat_loss_grads(params, X, label_idx, pi):
     """Loss and gradients for a flat backend given its parameter dict."""
-    U, norms = _stage_forward(params["A"], params["b"], X)
-    S = _pair_forward(
-        params["Lambda"], params["Gamma"], params["c"], float(params["k"]),
-        params["detectors"], U,
-    )
+    S, U, norms = _flat_forward(params, "", X)
     loss, G = _bce_loss_grad(S, label_idx, pi)
-    grads, _ = _flat_stage_grads(params, "", X, G, U, norms)
+    grads = _flat_stage_grads(params, "", X, G, U, norms)
     _check_finite(loss, grads)
     return loss, grads
 
 
 def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
-    """Loss and gradients for a hierarchical backend given its parameter dict."""
+    """Loss and gradients for a hierarchical backend given its parameter dict.
+
+    Stage 2 projects X once for every cluster shift (hier.shifted_projection),
+    and its backward pass folds the shifts the same way: with r_c = g_Zc' 1,
+    g_A = (sum_c g_Zc)' X - sum_c r_c s_c', g_b = sum_c r_c and g_s_c = -r_c A.
+    """
     cidx = info.lang_cluster_idx
     singleton = info.singleton
-    C = params["shifts"].shape[0]
-    L = len(cidx)
+    shifts, A2 = params["shifts"], params["stage2.A"]
+    cluster_cols = [np.flatnonzero(cidx == ci) for ci in range(shifts.shape[0])]
 
-    U1, norms1 = _stage_forward(params["stage1.A"], params["stage1.b"], X)
-    S1 = _pair_forward(
-        params["stage1.Lambda"], params["stage1.Gamma"], params["stage1.c"],
-        float(params["stage1.k"]), params["stage1.detectors"], U1,
-    )
+    S1, U1, norms1 = _flat_forward(params, "stage1.", X)
 
-    n = X.shape[0]
-    S2 = np.zeros((n, L))
-    cache = {}
+    U2, norms2 = _unit_rows(shifted_projection(A2, params["stage2.b"], shifts, X))
+    pair2 = _pair_params(params, "stage2.")
     dets2 = params["stage2.detectors"]
-    for ci in range(C):
-        cols = np.flatnonzero(cidx == ci)
-        Xc = X - params["shifts"][ci]
-        U2, norms2 = _stage_forward(params["stage2.A"], params["stage2.b"], Xc)
-        cache[ci] = (Xc, U2, norms2, cols)
-        if len(cols):
-            S2[:, cols] = _pair_forward(
-                params["stage2.Lambda"], params["stage2.Gamma"], params["stage2.c"],
-                float(params["stage2.k"]), dets2[cols], U2,
-            )
+    S2 = np.empty((X.shape[0], len(cidx)))
+    for cols, U in zip(cluster_cols, U2):
+        S2[:, cols] = pair_score_matrix(pair2, dets2[cols], U)
 
     # Log-domain combination; softmax terms reused in the backward pass.
     S1_per_lang = S1[:, cidx]
@@ -361,51 +354,41 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     d_lc[:, singleton] = 0.0
     G2 = G_lan * d_lc
     contrib = G_lan * d_c
-    G1 = np.zeros_like(S1)
-    for ci in range(C):
-        cols = np.flatnonzero(cidx == ci)
-        if len(cols):
-            G1[:, ci] = contrib[:, cols].sum(axis=1)
+    G1 = np.column_stack([contrib[:, cols].sum(axis=1) for cols in cluster_cols])
 
     if alpha > 0.0:
         loss_clu, G_clu = _bce_loss_grad(S1, cidx[label_idx], pi)
         loss += alpha * loss_clu
         G1 += alpha * G_clu
 
-    grads, _ = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
+    grads = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
 
-    d2 = params["stage2.A"].shape[0]
-    D = X.shape[1]
+    g_Lam2 = g_Gam2 = g_c2 = g_k2 = 0.0
+    g_det2 = np.empty_like(dets2)
+    g_Z2 = np.empty_like(U2)
+    for ci, cols in enumerate(cluster_cols):
+        g_Lam, g_Gam, g_c, g_k, g_det, g_U = _pair_backward(
+            pair2, dets2[cols], U2[ci], G2[:, cols]
+        )
+        g_det2[cols] = g_det
+        g_Lam2 += g_Lam
+        g_Gam2 += g_Gam
+        g_c2 += g_c
+        g_k2 += g_k
+        g_Z2[ci] = _lengthnorm_backward(g_U, U2[ci], norms2[ci])
+    r = g_Z2.sum(axis=1)  # (C, d2)
     grads.update(
         {
-            "stage2.A": np.zeros((d2, D)),
-            "stage2.b": np.zeros(d2),
-            "stage2.Lambda": np.zeros((d2, d2)),
-            "stage2.Gamma": np.zeros((d2, d2)),
-            "stage2.c": np.zeros(d2),
-            "stage2.k": np.array(0.0),
-            "stage2.detectors": np.zeros_like(dets2),
-            "shifts": np.zeros_like(params["shifts"]),
+            "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts,
+            "stage2.b": r.sum(axis=0),
+            "stage2.Lambda": g_Lam2,
+            "stage2.Gamma": g_Gam2,
+            "stage2.c": g_c2,
+            "stage2.k": np.array(g_k2),
+            "stage2.detectors": g_det2,
+            "shifts": -r @ A2,
         }
     )
-    Lam2, Gam2, c2 = params["stage2.Lambda"], params["stage2.Gamma"], params["stage2.c"]
-    for ci in range(C):
-        Xc, U2, norms2, cols = cache[ci]
-        if not len(cols):
-            continue
-        Gc = G2[:, cols]
-        g_Lam, g_Gam, g_c, g_k, g_det, g_U = _pair_backward(
-            Lam2, Gam2, c2, dets2[cols], U2, Gc
-        )
-        g_Z = _lengthnorm_backward(g_U, U2, norms2)
-        grads["stage2.Lambda"] += g_Lam
-        grads["stage2.Gamma"] += g_Gam
-        grads["stage2.c"] += g_c
-        grads["stage2.k"] = grads["stage2.k"] + g_k
-        grads["stage2.detectors"][cols] += g_det
-        grads["stage2.A"] += g_Z.T @ Xc
-        grads["stage2.b"] += g_Z.sum(axis=0)
-        grads["shifts"][ci] = -(g_Z @ params["stage2.A"]).sum(axis=0)
 
     _check_finite(loss, grads)
     return loss, grads

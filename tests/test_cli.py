@@ -279,6 +279,14 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_model_file_not_json_exits_2(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad_model.json"
+        bad.write_text("{not json")
+        data = workdir / "data"
+        assert main(["score", str(bad), str(data / "test.tsv"), str(tmp_path / "o.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+
     def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "plda.json").read_text())
         doc["enroll"][1]["language"] = doc["enroll"][0]["language"]

@@ -1,0 +1,49 @@
+"""Trained scores do not depend on the number of BLAS threads.
+
+Each run is a fresh interpreter, because OpenBLAS reads its thread count
+once, when numpy is first imported.
+
+Only the flat discriminative model is checked. The hierarchical model's
+generative initialisation is not thread-count invariant (see ROADMAP item 4).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import langrec
+
+SCRIPT = """
+import hashlib
+from langrec.backend import init_from_generative
+from langrec.dataio import balance_weights, generate_trials
+from langrec.synth import SynthConfig, generate
+from langrec.training import TrainConfig, train
+
+train_set, dev_set, test_set, _ = generate(SynthConfig(seed=5))
+weights = balance_weights(train_set)
+L = len(train_set.language_inventory())
+backend = init_from_generative(train_set, weights, L - 1)
+dev_sets = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
+config = TrainConfig(stages=((40, 5e-4),), finetune=(10, 1e-5), checkpoint_every=20)
+train(backend, train_set, dev_sets, config)
+print(hashlib.sha256(backend.score_matrix(test_set.vectors).tobytes()).hexdigest())
+"""
+
+
+def score_hash(threads: int) -> str:
+    src = str(Path(langrec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_dplda_scores_identical_with_one_and_two_blas_threads():
+    assert score_hash(1) == score_hash(2)

@@ -236,6 +236,33 @@ class TestSubsetTrials:
         assert list(scores[mask]) == [0.0, 1.0, 3.0, 4.0]
 
 
+def reference_bootstrap_ci(scores, trials, n_boot, seed, p_target=0.1, max_redraws=10):
+    """The per-replicate loop bootstrap_ci replaced: it concatenates the
+    trials of every drawn sample. Returns the interval and the number of
+    redraws it made."""
+    ids = sorted(set(trials.sample_ids))
+    trial_idx = {sid: [] for sid in ids}
+    for i, sid in enumerate(trials.sample_ids):
+        trial_idx[sid].append(i)
+    values, redraws = [], 0
+    for rep in range(n_boot):
+        rng = np.random.default_rng([seed, rep])
+        for attempt in range(max_redraws + 1):
+            draw = rng.integers(0, len(ids), size=len(ids))
+            idx = np.concatenate([trial_idx[ids[i]] for i in draw])
+            tgt = trials.is_target[idx]
+            if tgt.any() and not tgt.all():
+                break
+            redraws += 1
+        else:
+            raise ValueError("degenerate")
+        values.append(actual_dcf(scores[idx], tgt, p_target)[2])
+    values.sort()
+    lo = values[max(1, math.ceil(0.025 * n_boot)) - 1]
+    hi = values[math.ceil(0.975 * n_boot) - 1]
+    return (lo, hi), redraws
+
+
 class TestBootstrap:
     def _scored_trials(self, rng, n_samples=40, sep=4.0):
         langs = [f"l{i % 4}" for i in range(n_samples)]
@@ -279,3 +306,26 @@ class TestBootstrap:
         trials = generate_trials(es, ["a", "b"])  # out-of-set: no targets at all
         with pytest.raises(ValueError, match="degenerate"):
             bootstrap_ci(np.zeros(len(trials)), trials, n_boot=5, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 11])
+    def test_matches_reference_loop(self, seed):
+        # Scores straddle the Bayes threshold, so replicates see misses and
+        # false alarms alike.
+        rng = np.random.default_rng(100 + seed)
+        scores, trials = self._scored_trials(rng, sep=1.0)
+        scores += bayes_threshold(0.1)
+        want, _ = reference_bootstrap_ci(scores, trials, n_boot=200, seed=seed)
+        assert bootstrap_ci(scores, trials, n_boot=200, seed=seed) == want
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_matches_reference_loop_through_redraws(self, seed):
+        # Two of six samples bring the only target trials, so about one
+        # draw in eleven has no target and is drawn again.
+        langs = ["l0", "l1", "x", "x", "x", "x"]
+        es = EmbeddingSet([f"s{i}" for i in range(6)], langs, ["d"] * 6, np.zeros((6, 2)))
+        trials = generate_trials(es, ["l0", "l1", "l2"])
+        rng = np.random.default_rng(seed)
+        scores = np.where(trials.is_target, 2.5, 0.0) + 2.0 * rng.standard_normal(len(trials))
+        want, redraws = reference_bootstrap_ci(scores, trials, n_boot=300, seed=seed)
+        assert redraws > 0
+        assert bootstrap_ci(scores, trials, n_boot=300, seed=seed) == want

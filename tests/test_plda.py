@@ -280,3 +280,23 @@ class TestEmTrain:
         X = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(ValueError, match="2 classes"):
             em_train(X, ["a"] * 10)
+
+    def test_zero_within_scatter_fails_without_a_ridge_warning(self, caplog):
+        # Every class is constant, so the within-class covariance is the zero
+        # matrix: a trace-scaled ridge of 0 cannot repair it.
+        X = np.array([[1.0], [1.0], [-1.0], [-1.0], [1.0]])
+        with caplog.at_level("WARNING", logger="langrec.plda"):
+            with pytest.raises(ValueError, match="within-class covariance is singular"):
+                em_train(X, ["a", "a", "b", "b", "c"])
+        assert not any("ridge" in r.message for r in caplog.records)
+
+    def test_rank_deficient_within_scatter_is_ridge_repaired(self, caplog):
+        # Within-class scatter only along the first axis: singular, positive trace.
+        rng = np.random.default_rng(25)
+        means = {"a": [0.0, 1.0], "b": [0.5, -1.0], "c": [-0.5, 0.25]}
+        labels = [lab for lab in means for _ in range(6)]
+        X = np.array([means[lab] for lab in labels])
+        X[:, 0] += rng.standard_normal(len(labels))
+        with caplog.at_level("WARNING", logger="langrec.plda"):
+            em_train(X, labels, n_iters=0)
+        assert any("ridge-repairing" in r.message for r in caplog.records)
