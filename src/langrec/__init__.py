@@ -8,7 +8,6 @@ by-cluster and cluster-conditional scores through prior odds.
 from .backend import FlatBackend, GenerativeBackend, fit_generative_backend, init_from_generative
 from .clustering import ClusterMap, agglomerate, cluster_priors, plda_distance_matrix
 from .dataio import (
-    EmbeddingRecord,
     EmbeddingSet,
     TrialSet,
     balance_weights,
@@ -16,7 +15,7 @@ from .dataio import (
     load_embeddings,
     per_language_means,
     save_embeddings,
-    split_holdout,
+    trial_index,
 )
 from .hier import HierBackend, combine_llr, init_hier
 from .metrics import (
@@ -41,6 +40,6 @@ from .plda import (
 )
 from .preproc import AffinePreproc, fit_lda, length_normalize
 from .synth import SynthConfig, generate, run_comparison
-from .training import TrainConfig, bce_loss, combined_loss, multi_seed_train, sample_batch, train
+from .training import TrainConfig, bce_loss, multi_seed_train, sample_batch, train
 
 __version__ = "0.1.0"

@@ -176,7 +176,12 @@ def cmd_score(args) -> int:
 
 
 def _read_scores(path):
+    """Per-line sample ids, detectors and scores, and the distinct detectors in file order.
+
+    Every sample must have exactly one score for every detector in the file.
+    """
     ids, dets, scores = [], [], []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -189,22 +194,32 @@ def _read_scores(path):
                 score = float(parts[2])
             except ValueError:
                 raise ParseError(f"{path}: non-numeric score at line {lineno}") from None
+            if (parts[0], parts[1]) in seen:
+                raise ParseError(
+                    f"{path}: duplicate score for sample {parts[0]!r} and detector "
+                    f"{parts[1]!r} at line {lineno}"
+                )
+            seen.add((parts[0], parts[1]))
             ids.append(parts[0])
             dets.append(parts[1])
             scores.append(score)
     if not ids:
         raise ParseError(f"{path}: empty score file")
-    return ids, dets, np.array(scores)
+    detectors = tuple(dict.fromkeys(dets))
+    for sid in dict.fromkeys(ids):
+        lacking = [d for d in detectors if (sid, d) not in seen]
+        if lacking:
+            raise ParseError(f"{path}: sample {sid!r} has no score for detector {lacking[0]!r}")
+    return ids, dets, np.array(scores), detectors
 
 
 def cmd_eval(args) -> int:
-    ids, dets, scores = _read_scores(args.scores)
+    ids, dets, scores, detectors = _read_scores(args.scores)
     test = load_embeddings(args.test)
     lang_of = dict(zip(test.sample_ids, test.languages))
     missing = sorted({sid for sid in ids if sid not in lang_of})
     if missing:
         raise ParseError(f"score file references unknown sample_id {missing[0]!r}")
-    detectors = tuple(dict.fromkeys(dets))
     is_target = np.array([lang_of[s] == d for s, d in zip(ids, dets)], dtype=bool)
     trials = TrialSet(tuple(ids), tuple(dets), is_target, detectors)
 

@@ -7,28 +7,17 @@ header line. All sets are immutable after construction.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 EMB_TSV_HEADER = "#dim="
 
 
 class ParseError(ValueError):
     """An input file does not conform to its expected format."""
-
-
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    sample_id: str
-    language: str
-    dataset: str
-    vector: np.ndarray
 
 
 class EmbeddingSet:
@@ -64,17 +53,6 @@ class EmbeddingSet:
         self.vectors = vectors.copy()
         self.vectors.setflags(write=False)
 
-    @classmethod
-    def from_records(cls, records: Sequence[EmbeddingRecord]) -> "EmbeddingSet":
-        if not records:
-            raise ValueError("empty set")
-        return cls(
-            [r.sample_id for r in records],
-            [r.language for r in records],
-            [r.dataset for r in records],
-            np.vstack([np.asarray(r.vector, dtype=np.float64) for r in records]),
-        )
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
@@ -92,10 +70,6 @@ class EmbeddingSet:
             and self.vectors.shape == other.vectors.shape
             and bool(np.all(self.vectors == other.vectors))
         )
-
-    def records(self) -> Iterator[EmbeddingRecord]:
-        for i, sid in enumerate(self.sample_ids):
-            yield EmbeddingRecord(sid, self.languages[i], self.datasets[i], self.vectors[i])
 
     def subset(self, indices) -> "EmbeddingSet":
         indices = np.asarray(indices, dtype=np.intp)
@@ -201,12 +175,14 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{EMB_TSV_HEADER}{embeddings.dim}\n")
-        for rec in embeddings.records():
-            for field in (rec.sample_id, rec.language, rec.dataset):
+        for sid, lang, dset, vector in zip(
+            embeddings.sample_ids, embeddings.languages, embeddings.datasets, embeddings.vectors
+        ):
+            for field in (sid, lang, dset):
                 if "\t" in field or "\n" in field:
                     raise ValueError(f"field {field!r} contains a tab or newline")
-            floats = " ".join("%.17g" % v for v in rec.vector)
-            fh.write(f"{rec.sample_id}\t{rec.language}\t{rec.dataset}\t{floats}\n")
+            floats = " ".join("%.17g" % v for v in vector)
+            fh.write(f"{sid}\t{lang}\t{dset}\t{floats}\n")
 
 
 def generate_trials(embeddings: EmbeddingSet, detectors: Sequence[str]) -> TrialSet:
@@ -231,33 +207,26 @@ def generate_trials(embeddings: EmbeddingSet, detectors: Sequence[str]) -> Trial
     return TrialSet(tuple(ids), tuple(det), tgt.astype(bool), detectors)
 
 
-def split_holdout(
-    embeddings: EmbeddingSet, fraction: float, seed: int
-) -> tuple[EmbeddingSet, EmbeddingSet]:
-    """Stratified held-out split per (language, dataset) group.
+def trial_index(
+    embeddings: EmbeddingSet, trials: TrialSet, detector_labels: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of every trial in a score matrix over `embeddings` x
+    `detector_labels`, so that S[rows, cols] lists the scores in trial order.
 
-    Held-out count per group is floor(fraction * group size); groups of
-    size 1 go entirely to train with a logged warning. Deterministic for a
-    given seed; the two parts partition the input.
+    Raises ValueError naming a trial sample or detector that has no row or
+    column.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i in range(len(embeddings)):
-        groups.setdefault((embeddings.languages[i], embeddings.datasets[i]), []).append(i)
-
-    train_idx: list[int] = []
-    held_idx: list[int] = []
-    for key in sorted(groups):
-        members = groups[key]
-        n_held = int(np.floor(fraction * len(members)))
-        if len(members) == 1:
-            logger.warning("group %s has a single sample; keeping it in train", key)
-        perm = rng.permutation(len(members))
-        held_idx.extend(members[j] for j in perm[:n_held])
-        train_idx.extend(members[j] for j in perm[n_held:])
-    return embeddings.subset(sorted(train_idx)), embeddings.subset(sorted(held_idx))
+    sample_pos = {sid: i for i, sid in enumerate(embeddings.sample_ids)}
+    det_pos = {lab: j for j, lab in enumerate(detector_labels)}
+    try:
+        rows = np.array([sample_pos[sid] for sid in trials.sample_ids], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"trial sample_id {exc.args[0]!r} is not in the embedding set") from None
+    try:
+        cols = np.array([det_pos[lab] for lab in trials.detector_languages], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"trial detector {exc.args[0]!r} is not a detector label") from None
+    return rows, cols
 
 
 def per_language_means(

@@ -50,6 +50,28 @@ def combine_llr(L_c: float, L_lc: float, P_c: float, P_lc: float) -> float:
     return L_c + L_lc + math.log(P_c + P_lc + 1.0) - lse
 
 
+@dataclass(frozen=True)
+class HierCombineInfo:
+    """Fixed combination tables of a hierarchical backend (not trained).
+
+    The first four fields align with the stage-2 detectors: the stage-1
+    column of each language's cluster, that cluster's prior odds, the
+    language's prior odds within it (inf for a singleton cluster) and the
+    singleton flag. cluster_cols holds the stage-2 columns of each cluster,
+    in stage-1 detector order.
+    """
+
+    lang_cluster_idx: np.ndarray
+    P_c: np.ndarray
+    P_lc: np.ndarray
+    singleton: np.ndarray
+    cluster_cols: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_backend(cls, backend: "HierBackend") -> "HierCombineInfo":
+        return backend.combine
+
+
 @dataclass
 class HierBackend:
     """Two flat stages, per-cluster shift vectors, and the cluster map.
@@ -63,11 +85,7 @@ class HierBackend:
     stage2: FlatBackend
     shifts: np.ndarray  # (C, D)
     cluster_map: ClusterMap
-    # Derived per-language combination tables, aligned with stage2 detectors.
-    _lang_cluster_idx: np.ndarray = field(init=False, repr=False)
-    _P_c: np.ndarray = field(init=False, repr=False)
-    _P_lc: np.ndarray = field(init=False, repr=False)
-    _singleton: np.ndarray = field(init=False, repr=False)
+    combine: HierCombineInfo = field(init=False, repr=False)
 
     def __post_init__(self):
         self.shifts = np.asarray(self.shifts, dtype=np.float64)
@@ -90,10 +108,14 @@ class HierBackend:
             p = cmap.p_l_given_c[lang]
             single.append(p == 1.0)
             plc.append(math.inf if p == 1.0 else prior_odds(p))
-        self._lang_cluster_idx = np.array(idx, dtype=np.intp)
-        self._P_c = np.array(pc, dtype=np.float64)
-        self._P_lc = np.array(plc, dtype=np.float64)
-        self._singleton = np.array(single, dtype=bool)
+        idx = np.array(idx, dtype=np.intp)
+        self.combine = HierCombineInfo(
+            lang_cluster_idx=idx,
+            P_c=np.array(pc, dtype=np.float64),
+            P_lc=np.array(plc, dtype=np.float64),
+            singleton=np.array(single, dtype=bool),
+            cluster_cols=tuple(np.flatnonzero(idx == ci) for ci in range(len(clusters))),
+        )
 
     @property
     def detector_labels(self) -> tuple[str, ...]:
@@ -109,17 +131,11 @@ class HierBackend:
         L_c = self.stage1.score_matrix(X)
         pre2 = self.stage2.preproc
         U2 = length_normalize(shifted_projection(pre2.A, pre2.b, self.shifts, X))
-        L_lc = np.empty((X.shape[0], self.n_detectors))
-        for ci, U in enumerate(U2):
-            cols = np.flatnonzero(self._lang_cluster_idx == ci)
-            L_lc[:, cols] = pair_score_matrix(self.stage2.params, self.stage2.detectors[cols], U)
-        return L_c, L_lc
+        return L_c, stage2_scores(self.stage2.params, self.stage2.detectors, U2, self.combine)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         L_c, L_lc = self.stage_scores(X)
-        return combine_matrix(
-            L_c, L_lc, self._lang_cluster_idx, self._P_c, self._P_lc, self._singleton
-        )
+        return combine_matrix(L_c, L_lc, self.combine)[0]
 
     def score_all(self, x: np.ndarray) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
@@ -134,23 +150,33 @@ def shifted_projection(A, b, shifts, X) -> np.ndarray:
     return (X @ A.T + b)[None, :, :] - (shifts @ A.T)[:, None, :]
 
 
-def combine_matrix(L_c, L_lc, lang_cluster_idx, P_c, P_lc, singleton) -> np.ndarray:
-    """Vectorized log-domain combination over an (N, L) score layout."""
-    Lc_per_lang = L_c[:, lang_cluster_idx]
-    out = np.where(singleton[None, :], Lc_per_lang, 0.0)
-    active = ~singleton
-    if active.any():
-        a_c = Lc_per_lang[:, active] + np.log(P_c[active])[None, :]
-        a_lc = L_lc[:, active] + np.log(P_lc[active])[None, :]
-        m = np.maximum(np.maximum(a_c, a_lc), 0.0)
-        lse = m + np.log(np.exp(a_c - m) + np.exp(a_lc - m) + np.exp(-m))
-        out[:, active] = (
-            Lc_per_lang[:, active]
-            + L_lc[:, active]
-            + np.log(P_c[active] + P_lc[active] + 1.0)[None, :]
-            - lse
-        )
-    return out
+def stage2_scores(params, detectors, U2, info: HierCombineInfo) -> np.ndarray:
+    """Cluster-conditional scores (N, L): the detectors of each cluster score
+    that cluster's length-normalised stage-2 rows U2[c] (U2 is (C, N, d))."""
+    S = np.empty((U2.shape[1], len(info.lang_cluster_idx)))
+    for cols, U in zip(info.cluster_cols, U2):
+        S[:, cols] = pair_score_matrix(params, detectors[cols], U)
+    return S
+
+
+def combine_matrix(L_c, L_lc, info: HierCombineInfo):
+    """Log-domain combination of (N, C) cluster and (N, L) conditional scores.
+
+    Returns (scores (N, L), a_c - lse, a_lc - lse), where a_c and a_lc are
+    the log posterior-odds terms and lse = log(e^a_c + e^a_lc + 1); the
+    backward pass needs the last two. Every column is computed with
+    log P_lc = 0 on singletons, whose scores are then L_c exactly.
+    """
+    single = info.singleton
+    Lc_per_lang = L_c[:, info.lang_cluster_idx]
+    P_lc = np.where(single, 0.0, info.P_lc)
+    a_c = Lc_per_lang + np.log(info.P_c)[None, :]
+    a_lc = L_lc + np.where(single, 0.0, np.log(info.P_lc))[None, :]
+    m = np.maximum(np.maximum(a_c, a_lc), 0.0)
+    lse = m + np.log(np.exp(a_c - m) + np.exp(a_lc - m) + np.exp(-m))
+    S = Lc_per_lang + L_lc + np.log(info.P_c + P_lc + 1.0)[None, :] - lse
+    S[:, single] = Lc_per_lang[:, single]
+    return S, a_c - lse, a_lc - lse
 
 
 def init_hier(

@@ -17,7 +17,13 @@ import numpy as np
 
 from .backend import fit_generative_backend, init_from_generative
 from .clustering import ClusterMap, agglomerate, cluster_priors, linkage_merges, plda_distance_matrix
-from .dataio import EmbeddingSet, balance_weights, generate_trials, per_language_means
+from .dataio import (
+    EmbeddingSet,
+    balance_weights,
+    generate_trials,
+    per_language_means,
+    trial_index,
+)
 from .hier import init_hier
 from .metrics import bootstrap_ci, evaluate, subset_trials
 from .training import TrainConfig, multi_seed_train, trial_bce
@@ -153,10 +159,7 @@ def tune_cluster_threshold(
         losses = []
         for es, ts in dev_sets:
             S = backend.score_matrix(es.vectors)
-            det_pos = {lab: i for i, lab in enumerate(backend.detector_labels)}
-            sample_pos = {sid: i for i, sid in enumerate(es.sample_ids)}
-            rows = np.array([sample_pos[s] for s in ts.sample_ids])
-            cols = np.array([det_pos[l] for l in ts.detector_languages])
+            rows, cols = trial_index(es, ts, backend.detector_labels)
             losses.append(trial_bce(S[rows, cols], ts.is_target, pi))
         loss = float(np.mean(losses))
         if best is None or loss < best[0]:
@@ -224,11 +227,8 @@ def run_comparison(
     report: dict[str, dict] = {}
     scores_by_system: dict[str, np.ndarray] = {}
     for name, backend in systems.items():
-        det_pos = {lab: i for i, lab in enumerate(backend.detector_labels)}
-        cols = np.array([det_pos[d] for d in trials.detector_languages])
-        rows = np.repeat(np.arange(len(test_set)), len(detectors))
-        S = backend.score_matrix(test_set.vectors)
-        flat = S[rows, cols]
+        rows, cols = trial_index(test_set, trials, backend.detector_labels)
+        flat = backend.score_matrix(test_set.vectors)[rows, cols]
         scores_by_system[name] = flat
         rep = evaluate(flat, trials.is_target)
         rep.ci_low, rep.ci_high = bootstrap_ci(

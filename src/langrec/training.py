@@ -20,8 +20,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from .backend import FlatBackend
-from .dataio import EmbeddingSet, TrialSet, group_indices
-from .hier import HierBackend, shifted_projection
+from .dataio import EmbeddingSet, TrialSet, group_indices, trial_index
+from .hier import (
+    HierBackend,
+    HierCombineInfo,
+    combine_matrix,
+    shifted_projection,
+    stage2_scores,
+)
 from .plda import PairScoreParams, pair_score_matrix
 from .preproc import AffinePreproc, LENGTH_NORM_EPS
 
@@ -136,25 +142,6 @@ def trial_bce(scores: np.ndarray, is_target: np.ndarray, pi: float) -> float:
     return float(loss)
 
 
-def combined_loss(
-    lan_scores: np.ndarray,
-    cluster_scores: np.ndarray | None,
-    label_idx: np.ndarray,
-    cluster_label_idx: np.ndarray | None,
-    pi: float,
-    alpha: float,
-) -> float:
-    """(1 - alpha) * language loss + alpha * cluster loss."""
-    if alpha > 0.0 and (cluster_scores is None or cluster_label_idx is None):
-        raise ValueError("alpha > 0 requires cluster scores and labels")
-    loss = 0.0
-    if alpha < 1.0:
-        loss += (1.0 - alpha) * bce_loss(lan_scores, label_idx, pi)
-    if alpha > 0.0:
-        loss += alpha * bce_loss(cluster_scores, cluster_label_idx, pi)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # Parameter dictionaries
 
@@ -211,25 +198,6 @@ def set_params(backend, params: dict[str, np.ndarray]) -> None:
         _set_flat_params(backend, params)
     else:
         raise TypeError(f"unsupported backend type {type(backend).__name__}")
-
-
-@dataclass(frozen=True)
-class HierCombineInfo:
-    """Fixed combination tables of a hierarchical backend (not trained)."""
-
-    lang_cluster_idx: np.ndarray
-    P_c: np.ndarray
-    P_lc: np.ndarray
-    singleton: np.ndarray
-
-    @classmethod
-    def from_backend(cls, backend: HierBackend) -> "HierCombineInfo":
-        return cls(
-            lang_cluster_idx=backend._lang_cluster_idx,
-            P_c=backend._P_c,
-            P_lc=backend._P_lc,
-            singleton=backend._singleton,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,50 +282,36 @@ def flat_loss_grads(params, X, label_idx, pi):
 def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """Loss and gradients for a hierarchical backend given its parameter dict.
 
-    Stage 2 projects X once for every cluster shift (hier.shifted_projection),
-    and its backward pass folds the shifts the same way: with r_c = g_Zc' 1,
+    The forward pass is the scorer's: hier.shifted_projection projects X once
+    for every cluster shift, hier.stage2_scores scores each cluster's
+    languages and hier.combine_matrix combines the two stages. The backward
+    pass folds the shifts the same way as the projection: with r_c = g_Zc' 1,
     g_A = (sum_c g_Zc)' X - sum_c r_c s_c', g_b = sum_c r_c and g_s_c = -r_c A.
     """
-    cidx = info.lang_cluster_idx
     singleton = info.singleton
     shifts, A2 = params["shifts"], params["stage2.A"]
-    cluster_cols = [np.flatnonzero(cidx == ci) for ci in range(shifts.shape[0])]
 
     S1, U1, norms1 = _flat_forward(params, "stage1.", X)
 
     U2, norms2 = _unit_rows(shifted_projection(A2, params["stage2.b"], shifts, X))
     pair2 = _pair_params(params, "stage2.")
     dets2 = params["stage2.detectors"]
-    S2 = np.empty((X.shape[0], len(cidx)))
-    for cols, U in zip(cluster_cols, U2):
-        S2[:, cols] = pair_score_matrix(pair2, dets2[cols], U)
-
-    # Log-domain combination; softmax terms reused in the backward pass.
-    S1_per_lang = S1[:, cidx]
-    log_Pc = np.log(info.P_c)
-    log_Plc = np.where(singleton, 0.0, np.log(info.P_lc))
-    a_c = S1_per_lang + log_Pc[None, :]
-    a_lc = S2 + log_Plc[None, :]
-    m = np.maximum(np.maximum(a_c, a_lc), 0.0)
-    lse = m + np.log(np.exp(a_c - m) + np.exp(a_lc - m) + np.exp(-m))
-    const = np.log(info.P_c + np.where(singleton, 0.0, info.P_lc) + 1.0)
-    S = S1_per_lang + S2 + const[None, :] - lse
-    S[:, singleton] = S1_per_lang[:, singleton]
+    S, t_c, t_lc = combine_matrix(S1, stage2_scores(pair2, dets2, U2, info), info)
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)
     loss = (1.0 - alpha) * loss_lan
     G_lan *= 1.0 - alpha
 
-    d_c = 1.0 - np.exp(a_c - lse)
-    d_lc = 1.0 - np.exp(a_lc - lse)
+    d_c = 1.0 - np.exp(t_c)
+    d_lc = 1.0 - np.exp(t_lc)
     d_c[:, singleton] = 1.0
     d_lc[:, singleton] = 0.0
     G2 = G_lan * d_lc
     contrib = G_lan * d_c
-    G1 = np.column_stack([contrib[:, cols].sum(axis=1) for cols in cluster_cols])
+    G1 = np.column_stack([contrib[:, cols].sum(axis=1) for cols in info.cluster_cols])
 
     if alpha > 0.0:
-        loss_clu, G_clu = _bce_loss_grad(S1, cidx[label_idx], pi)
+        loss_clu, G_clu = _bce_loss_grad(S1, info.lang_cluster_idx[label_idx], pi)
         loss += alpha * loss_clu
         G1 += alpha * G_clu
 
@@ -366,7 +320,7 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     g_Lam2 = g_Gam2 = g_c2 = g_k2 = 0.0
     g_det2 = np.empty_like(dets2)
     g_Z2 = np.empty_like(U2)
-    for ci, cols in enumerate(cluster_cols):
+    for ci, cols in enumerate(info.cluster_cols):
         g_Lam, g_Gam, g_c, g_k, g_det, g_U = _pair_backward(
             pair2, dets2[cols], U2[ci], G2[:, cols]
         )
@@ -392,23 +346,6 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
 
     _check_finite(loss, grads)
     return loss, grads
-
-
-def backward(backend, X: np.ndarray, label_idx: np.ndarray, config: TrainConfig):
-    """Loss and analytic gradients of one batch for a backend object.
-
-    label_idx indexes the backend's detector order; alpha > 0 on a flat
-    backend is an error.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    label_idx = np.asarray(label_idx, dtype=np.intp)
-    params = get_params(backend)
-    if isinstance(backend, HierBackend):
-        info = HierCombineInfo.from_backend(backend)
-        return hier_loss_grads(params, info, X, label_idx, config.pi, config.alpha)
-    if config.alpha > 0.0:
-        raise ValueError("alpha > 0 requires a hierarchical backend")
-    return flat_loss_grads(params, X, label_idx, config.pi)
 
 
 def _check_finite(loss, grads):
@@ -531,13 +468,9 @@ def _copy_params(params):
 
 
 def _dev_evaluator(backend, dev_sets: list[tuple[EmbeddingSet, TrialSet]], config):
-    det_pos = {lab: i for i, lab in enumerate(backend.detector_labels)}
-    prepared = []
-    for es, ts in dev_sets:
-        sample_pos = {sid: i for i, sid in enumerate(es.sample_ids)}
-        rows = np.array([sample_pos[sid] for sid in ts.sample_ids], dtype=np.intp)
-        cols = np.array([det_pos[lab] for lab in ts.detector_languages], dtype=np.intp)
-        prepared.append((es, ts, rows, cols))
+    prepared = [
+        (es, ts, *trial_index(es, ts, backend.detector_labels)) for es, ts in dev_sets
+    ]
 
     if config.select_metric == "dcf":
         from .metrics import actual_dcf
@@ -584,7 +517,7 @@ def train(
     evaluate_dev = _dev_evaluator(backend, dev_sets, config)
 
     is_hier = isinstance(backend, HierBackend)
-    info = HierCombineInfo.from_backend(backend) if is_hier else None
+    info = backend.combine if is_hier else None
     if config.alpha > 0.0 and not is_hier:
         raise ValueError("alpha > 0 requires a hierarchical backend")
 

@@ -314,14 +314,8 @@ class TestInitHier:
         L_c, L_lc = backend.stage_scores(x[None, :])
         from langrec.hier import combine_matrix
 
-        base = combine_matrix(
-            L_c, L_lc, backend._lang_cluster_idx, backend._P_c, backend._P_lc,
-            backend._singleton,
-        )
-        bumped = combine_matrix(
-            L_c, L_lc + 0.5, backend._lang_cluster_idx, backend._P_c, backend._P_lc,
-            backend._singleton,
-        )
+        base = combine_matrix(L_c, L_lc, backend.combine)[0]
+        bumped = combine_matrix(L_c, L_lc + 0.5, backend.combine)[0]
         assert np.all(bumped > base)
 
     def test_other_cluster_shift_does_not_leak(self):
@@ -344,19 +338,18 @@ class TestInitHier:
             cname = cmap.assignment[lang]
             p_c = cmap.p_c[cname]
             p_lc = cmap.p_l_given_c[lang]
-            assert abs(backend._P_c[j] - p_c / (1 - p_c)) < 1e-12
+            assert abs(backend.combine.P_c[j] - p_c / (1 - p_c)) < 1e-12
             if p_lc < 1.0:
-                assert abs(backend._P_lc[j] - p_lc / (1 - p_lc)) < 1e-12
+                assert abs(backend.combine.P_lc[j] - p_lc / (1 - p_lc)) < 1e-12
             else:
-                assert np.isinf(backend._P_lc[j])
+                assert np.isinf(backend.combine.P_lc[j])
 
     def test_zero_stage_scores_give_zero_output(self):
         # Uniform two-cluster/two-language map with all stage scores zero.
         idx = np.array([0, 1], dtype=np.intp)
         P = np.array([prior_odds(0.5), prior_odds(0.5)])
-        from langrec.hier import combine_matrix
+        from langrec.hier import HierCombineInfo, combine_matrix
 
-        out = combine_matrix(
-            np.zeros((3, 2)), np.zeros((3, 2)), idx, P, P, np.zeros(2, dtype=bool)
-        )
+        info = HierCombineInfo(idx, P, P, np.zeros(2, dtype=bool), (idx[:1], idx[1:]))
+        out, _, _ = combine_matrix(np.zeros((3, 2)), np.zeros((3, 2)), info)
         assert np.allclose(out, 0.0, atol=1e-14)

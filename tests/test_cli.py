@@ -377,3 +377,23 @@ class TestEvalCommand:
         assert main(["eval", str(scores), str(data / "test.tsv"), str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["actual_dcf_norm"] == 0.0
+
+    def test_duplicate_score_row_exits_1_naming_line(self, workdir, scores_file, tmp_path, capsys):
+        lines = scores_file.read_text().splitlines()
+        sid, det, _ = lines[3].split("\t")
+        bad = tmp_path / "dup.tsv"
+        bad.write_text("\n".join(lines + [lines[3]]) + "\n")
+        code = main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(tmp_path / "x.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"duplicate score for sample {sid!r} and detector {det!r}" in err
+        assert f"at line {len(lines) + 1}" in err
+
+    def test_missing_score_exits_1_naming_sample(self, workdir, scores_file, tmp_path, capsys):
+        lines = scores_file.read_text().splitlines()
+        sid, det, _ = lines[7].split("\t")
+        bad = tmp_path / "missing.tsv"
+        bad.write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+        code = main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(tmp_path / "x.json")])
+        assert code == 1
+        assert f"sample {sid!r} has no score for detector {det!r}" in capsys.readouterr().err

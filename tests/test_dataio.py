@@ -9,7 +9,7 @@ from langrec.dataio import (
     load_embeddings,
     per_language_means,
     save_embeddings,
-    split_holdout,
+    trial_index,
 )
 
 
@@ -131,49 +131,37 @@ class TestGenerateTrials:
             assert ts.n_target == sum(1 for l in langs if l in dets)
 
 
-class TestSplitHoldout:
-    def _big_set(self):
-        rng = np.random.default_rng(0)
-        rows = []
-        for lang in ("a", "b"):
-            for i in range(100):
-                rows.append((f"{lang}{i}", lang, "d0", rng.standard_normal(2)))
-        return make_set(rows)
-
-    def test_fraction_per_language(self):
-        train, held = split_holdout(self._big_set(), 0.1, seed=1)
-        held_langs = list(held.languages)
-        assert held_langs.count("a") == 10 and held_langs.count("b") == 10
-
-    def test_deterministic(self):
-        es = self._big_set()
-        t1, h1 = split_holdout(es, 0.25, seed=42)
-        t2, h2 = split_holdout(es, 0.25, seed=42)
-        assert t1 == t2 and h1 == h2
-
-    def test_partition(self):
-        es = self._big_set()
-        train, held = split_holdout(es, 0.3, seed=5)
-        assert set(train.sample_ids) | set(held.sample_ids) == set(es.sample_ids)
-        assert not set(train.sample_ids) & set(held.sample_ids)
-
-    def test_floor_rule_three_samples(self):
-        es = make_set([(f"s{i}", "a", "d", [float(i)]) for i in range(3)])
-        train, held = split_holdout(es, 0.5, seed=0)
-        assert len(train) == 2 and len(held) == 1
-
-    def test_singleton_group_goes_to_train(self, caplog):
-        es = make_set(
-            [("a0", "a", "d", [0.0]), ("b0", "b", "d", [1.0]), ("b1", "b", "d", [2.0])]
+class TestTrialIndex:
+    def _set(self):
+        return make_set(
+            [("s0", "a", "d", [0.0]), ("s1", "b", "d", [1.0]), ("s2", "c", "d", [2.0])]
         )
-        with caplog.at_level("WARNING"):
-            train, held = split_holdout(es, 0.5, seed=0)
-        assert "a0" in train.sample_ids
-        assert any("single sample" in r.message for r in caplog.records)
 
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            split_holdout(self._big_set(), 1.0, seed=0)
+    def test_sample_major_order_of_generate_trials(self):
+        es = self._set()
+        dets = ("b", "c", "a", "z")
+        ts = generate_trials(es, dets)
+        rows, cols = trial_index(es, ts, dets)
+        assert np.array_equal(rows, np.repeat(np.arange(3), 4))
+        assert np.array_equal(cols, np.tile(np.arange(4), 3))
+        # A score matrix in another detector order is read by label.
+        S = np.arange(12.0).reshape(3, 4)
+        order = ("z", "a", "c", "b")
+        rows2, cols2 = trial_index(es, ts, order)
+        permuted = S[:, [dets.index(lab) for lab in order]]
+        assert np.array_equal(permuted[rows2, cols2], S[rows, cols])
+
+    def test_unknown_sample_named(self):
+        ts = generate_trials(self._set(), ("a", "b"))
+        other = make_set([("s0", "a", "d", [0.0]), ("s1", "b", "d", [1.0])])
+        with pytest.raises(ValueError, match="sample_id 's2'"):
+            trial_index(other, ts, ("a", "b"))
+
+    def test_unknown_detector_named(self):
+        es = self._set()
+        ts = generate_trials(es, ("a", "b"))
+        with pytest.raises(ValueError, match="detector 'b'"):
+            trial_index(es, ts, ("a", "c"))
 
 
 class TestPerLanguageMeans:

@@ -144,8 +144,17 @@ class TestMinDcf:
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(60)
         tgt = rng.random(60) < 0.3
+        # Strictly increasing maps, affine and not, keep every ROC point.
+        for transform in (
+            lambda s: s + 1.0,
+            lambda s: 2.5 * s - 3.0,
+            np.exp,
+            lambda s: s**3,
+        ):
+            moved = transform(scores)
+            assert min_dcf(moved, tgt) == pytest.approx(min_dcf(scores, tgt), abs=1e-12)
+            assert eer(moved, tgt) == pytest.approx(eer(scores, tgt), abs=1e-12)
         shifted = scores + 1.0
-        assert min_dcf(scores, tgt) == pytest.approx(min_dcf(shifted, tgt), abs=1e-12)
         # The actual DCF is threshold-sensitive and generally changes.
         base = actual_dcf(scores, tgt)[2]
         moved = actual_dcf(shifted, tgt)[2]

@@ -10,13 +10,10 @@ from langrec.hier import HierBackend
 from langrec.plda import PairScoreParams
 from langrec.preproc import AffinePreproc
 from langrec.training import (
-    HierCombineInfo,
     TrainConfig,
     adam_init,
     adam_step,
-    backward,
     bce_loss,
-    combined_loss,
     flat_loss_grads,
     get_params,
     hier_loss_grads,
@@ -116,31 +113,29 @@ class TestBceLoss:
 
 
 class TestCombinedLoss:
-    def _setup(self):
+    """hier_loss_grads's loss is (1 - alpha) times the language BCE of the
+    backend's own scores plus alpha times the cluster BCE of its stage-1
+    scores. The backend has a singleton cluster."""
+
+    def _check(self, alpha):
         rng = np.random.default_rng(2)
-        lan = rng.standard_normal((6, 4))
-        clu = rng.standard_normal((6, 2))
-        lab = rng.integers(0, 4, size=6)
-        clab = rng.integers(0, 2, size=6)
-        return lan, clu, lab, clab
+        backend = build_hier_backend(rng, singleton=True)
+        X = rng.standard_normal((12, 8))
+        y = rng.integers(0, 3, size=12)
+        loss, _ = hier_loss_grads(get_params(backend), backend.combine, X, y, 0.1, alpha)
+        cluster_y = backend.combine.lang_cluster_idx[y]
+        expected = (1.0 - alpha) * bce_loss(backend.score_matrix(X), y, 0.1)
+        expected += alpha * bce_loss(backend.stage1.score_matrix(X), cluster_y, 0.1)
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_zero(self):
-        lan, clu, lab, clab = self._setup()
-        assert combined_loss(lan, clu, lab, clab, 0.1, 0.0) == bce_loss(lan, lab, 0.1)
+        self._check(0.0)
 
     def test_alpha_one(self):
-        lan, clu, lab, clab = self._setup()
-        assert combined_loss(lan, clu, lab, clab, 0.1, 1.0) == bce_loss(clu, clab, 0.1)
+        self._check(1.0)
 
     def test_alpha_half_is_mean(self):
-        lan, clu, lab, clab = self._setup()
-        expected = 0.5 * (bce_loss(lan, lab, 0.1) + bce_loss(clu, clab, 0.1))
-        assert combined_loss(lan, clu, lab, clab, 0.1, 0.5) == pytest.approx(expected)
-
-    def test_alpha_without_cluster_scores(self):
-        lan, _, lab, _ = self._setup()
-        with pytest.raises(ValueError, match="alpha"):
-            combined_loss(lan, None, lab, None, 0.1, 0.3)
+        self._check(0.5)
 
 
 class TestGradientsFlat:
@@ -191,19 +186,6 @@ class TestGradientsFlat:
         for g in grads.values():
             assert np.linalg.norm(np.atleast_1d(g)) < 1e-12
 
-    def test_backward_wrapper_matches_dict_engine(self):
-        rng = np.random.default_rng(5)
-        train_set = synthetic_set(rng, separated_means(rng, 4, 8), n_per=20)
-        backend = init_from_generative(train_set, None, out_dim=3)
-        X = train_set.vectors[:10]
-        y = np.array([backend.detector_labels.index(l) for l in train_set.languages[:10]])
-        cfg = TrainConfig(pi=0.1)
-        loss1, g1 = backward(backend, X, y, cfg)
-        loss2, g2 = flat_loss_grads(get_params(backend), X, y, 0.1)
-        assert loss1 == loss2
-        for key in g1:
-            assert np.allclose(g1[key], g2[key])
-
 
 def build_hier_backend(rng, in_dim=8, out1=3, out2=3, singleton=False):
     """Hand-built 2-cluster hierarchical backend with random parameters."""
@@ -235,7 +217,7 @@ class TestGradientsHier:
     def test_finite_difference_two_cluster_model(self):
         rng = np.random.default_rng(6)
         backend = build_hier_backend(rng)
-        info = HierCombineInfo.from_backend(backend)
+        info = backend.combine
         params = get_params(backend)
         X = rng.standard_normal((12, 8))
         y = rng.integers(0, 4, size=12)
@@ -248,7 +230,7 @@ class TestGradientsHier:
     def test_finite_difference_with_singleton_cluster(self):
         rng = np.random.default_rng(7)
         backend = build_hier_backend(rng, singleton=True)
-        info = HierCombineInfo.from_backend(backend)
+        info = backend.combine
         params = get_params(backend)
         X = rng.standard_normal((10, 8))
         y = rng.integers(0, 3, size=10)
@@ -261,7 +243,7 @@ class TestGradientsHier:
     def test_hier_forward_matches_score_matrix(self):
         rng = np.random.default_rng(8)
         backend = build_hier_backend(rng)
-        info = HierCombineInfo.from_backend(backend)
+        info = backend.combine
         params = get_params(backend)
         X = rng.standard_normal((5, 8))
         S = backend.score_matrix(X)
@@ -275,7 +257,7 @@ class TestGradientsHier:
         backend = init_from_generative(train_set, None, out_dim=2)
         cfg = TrainConfig(alpha=0.5)
         with pytest.raises(ValueError, match="hierarchical"):
-            backward(backend, train_set.vectors[:4], np.zeros(4, dtype=int), cfg)
+            train(backend, train_set, [], cfg)
 
 
 class TestAdam:
