@@ -9,18 +9,20 @@ Both score every sample against every detector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataio import EmbeddingSet
 from .plda import (
     EnrollmentStats,
+    ExactLlrTables,
     PairScoreParams,
     PldaModel,
+    apply_llr_tables,
     em_train,
     enrollment_stats,
-    exact_llr_matrix,
+    exact_llr_tables,
     pair_score_matrix,
     to_pair_params,
 )
@@ -64,12 +66,17 @@ class FlatBackend:
 
 @dataclass
 class GenerativeBackend:
-    """Exact-scoring PLDA backend with per-language enrollment statistics."""
+    """Exact-scoring PLDA backend with per-language enrollment statistics.
+
+    tables holds the per-detector scoring tables, built once from the model
+    and the enrollment statistics; they are derived and never stored.
+    """
 
     preproc: AffinePreproc
     model: PldaModel
     detector_labels: tuple[str, ...]
     enroll: EnrollmentStats
+    tables: ExactLlrTables = field(init=False, repr=False)
 
     def __post_init__(self):
         self.detector_labels = tuple(self.detector_labels)
@@ -86,14 +93,14 @@ class GenerativeBackend:
             )
         if not np.all(np.asarray(counts) >= 1):
             raise ValueError("every enrollment count must be at least 1")
+        self.tables = exact_llr_tables(self.model, self.enroll)
 
     @property
     def n_detectors(self) -> int:
         return len(self.detector_labels)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        U = self.preproc.transform(X)
-        return exact_llr_matrix(self.model, self.enroll, U)
+        return apply_llr_tables(self.tables, self.preproc.transform(X))
 
     def score_all(self, x: np.ndarray) -> np.ndarray:
         return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]

@@ -89,7 +89,7 @@ def cmd_cluster(args) -> int:
     means = per_language_means(train)
     langs, dist = clustering.plda_distance_matrix(means, backend.model, backend.preproc)
     merges = clustering.linkage_merges(langs, dist)
-    cmap = clustering.agglomerate(langs, dist, args.threshold)
+    cmap = clustering.cut_merges(langs, merges, args.threshold)
     out = Path(args.out)
     out.write_text(clustering.cluster_map_to_json(cmap), encoding="utf-8")
     dendro = Path(args.dendrogram) if args.dendrogram else out.with_suffix(".dendrogram.tsv")

@@ -133,37 +133,42 @@ def linkage_merges(labels: Sequence[str], dist: np.ndarray) -> list[MergeStep]:
         if np.abs(dist[off] - dist.T[off]).max() > 1e-12:
             raise ValueError("distance matrix must be symmetric")
 
-    clusters: list[list[int]] = [[i] for i in range(n)]
-
-    def name(members):
-        return min(labels[i] for i in members)
-
     def linkage(a, b):
-        return float(np.mean(dist[np.ix_(a, b)]))
+        return float(np.mean(dist[np.ix_(members[a], members[b])]))
 
+    # Clusters by id, in merge-list order; link caches the linkage of every
+    # pair (a, b) with a before b, so a merge computes only the new cluster's.
+    members = {i: [i] for i in range(n)}
+    names = dict(enumerate(labels))
+    order = list(range(n))
+    link = {(a, b): linkage(a, b) for i, a in enumerate(order) for b in order[i + 1 :]}
     merges = []
-    step = 0
-    while len(clusters) > 1:
+    while len(order) > 1:
         best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = linkage(clusters[i], clusters[j])
-                pair = tuple(sorted((name(clusters[i]), name(clusters[j]))))
-                key = (d, pair)
+        for i, a in enumerate(order):
+            for b in order[i + 1 :]:
+                key = (link[a, b], tuple(sorted((names[a], names[b]))))
                 if best is None or key < best[0]:
-                    best = (key, i, j)
-        (d, pair), i, j = best
-        merges.append(MergeStep(step=step, left=pair[0], right=pair[1], distance=d))
-        merged = clusters[i] + clusters[j]
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(merged)
-        step += 1
+                    best = (key, a, b)
+        (d, pair), a, b = best
+        merges.append(MergeStep(step=len(merges), left=pair[0], right=pair[1], distance=d))
+        new = len(members)
+        members[new] = members[a] + members[b]
+        names[new] = pair[0]
+        order = [k for k in order if k not in (a, b)]
+        link.update({(k, new): linkage(k, new) for k in order})
+        order.append(new)
     return merges
 
 
 def agglomerate(labels: Sequence[str], dist: np.ndarray, threshold: float) -> ClusterMap:
     """Average-linkage clustering cut where the smallest linkage exceeds threshold."""
-    merges = linkage_merges(labels, dist)
+    return cut_merges(labels, linkage_merges(labels, dist), threshold)
+
+
+def cut_merges(labels: Sequence[str], merges: Sequence[MergeStep], threshold: float) -> ClusterMap:
+    """The clusters of a linkage_merges sequence, applied up to the first merge
+    whose distance exceeds threshold."""
     parent = {lab: lab for lab in labels}
 
     def find(x):

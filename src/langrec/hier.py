@@ -17,7 +17,6 @@ import numpy as np
 from .clustering import ClusterMap
 from .dataio import EmbeddingSet, per_language_means
 from .backend import FlatBackend, init_from_generative
-from .plda import pair_score_matrix
 from .preproc import length_normalize
 
 
@@ -54,18 +53,22 @@ def combine_llr(L_c: float, L_lc: float, P_c: float, P_lc: float) -> float:
 class HierCombineInfo:
     """Fixed combination tables of a hierarchical backend (not trained).
 
-    The first four fields align with the stage-2 detectors: the stage-1
+    The first five fields align with the stage-2 detectors: the stage-1
     column of each language's cluster, that cluster's prior odds, the
-    language's prior odds within it (inf for a singleton cluster) and the
-    singleton flag. cluster_cols holds the stage-2 columns of each cluster,
-    in stage-1 detector order.
+    language's prior odds within it (inf for a singleton cluster), the
+    singleton flag and the language's slot (its position among its
+    cluster's members). pad_cols (C, m), with m the largest cluster size and
+    rows in stage-1 detector order, holds the stage-2 columns of each
+    cluster's members, padded with column 0:
+    pad_cols[lang_cluster_idx[j], lang_slot[j]] == j.
     """
 
     lang_cluster_idx: np.ndarray
     P_c: np.ndarray
     P_lc: np.ndarray
     singleton: np.ndarray
-    cluster_cols: tuple[np.ndarray, ...]
+    lang_slot: np.ndarray
+    pad_cols: np.ndarray
 
     @classmethod
     def from_backend(cls, backend: "HierBackend") -> "HierCombineInfo":
@@ -100,21 +103,25 @@ class HierBackend:
         if self.stage2.preproc.in_dim != self.stage1.preproc.in_dim:
             raise ValueError("stages disagree on raw input dimension")
         cluster_pos = {name: i for i, name in enumerate(clusters)}
-        idx, pc, plc, single = [], [], [], []
+        idx, slot, pc, plc, single = [], [], [], [], []
         for lang in self.stage2.detector_labels:
             cname = cmap.assignment[lang]
             idx.append(cluster_pos[cname])
+            slot.append(cmap.cluster_languages[cname].index(lang))
             pc.append(prior_odds(cmap.p_c[cname]))
             p = cmap.p_l_given_c[lang]
             single.append(p == 1.0)
             plc.append(math.inf if p == 1.0 else prior_odds(p))
-        idx = np.array(idx, dtype=np.intp)
+        idx, slot = np.array(idx, dtype=np.intp), np.array(slot, dtype=np.intp)
+        pad_cols = np.zeros((len(clusters), np.bincount(idx).max()), dtype=np.intp)
+        pad_cols[idx, slot] = np.arange(idx.size)
         self.combine = HierCombineInfo(
             lang_cluster_idx=idx,
             P_c=np.array(pc, dtype=np.float64),
             P_lc=np.array(plc, dtype=np.float64),
             singleton=np.array(single, dtype=bool),
-            cluster_cols=tuple(np.flatnonzero(idx == ci) for ci in range(len(clusters))),
+            lang_slot=slot,
+            pad_cols=pad_cols,
         )
 
     @property
@@ -151,12 +158,25 @@ def shifted_projection(A, b, shifts, X) -> np.ndarray:
 
 
 def stage2_scores(params, detectors, U2, info: HierCombineInfo) -> np.ndarray:
-    """Cluster-conditional scores (N, L): the detectors of each cluster score
-    that cluster's length-normalised stage-2 rows U2[c] (U2 is (C, N, d))."""
-    S = np.empty((U2.shape[1], len(info.lang_cluster_idx)))
-    for cols, U in zip(info.cluster_cols, U2):
-        S[:, cols] = pair_score_matrix(params, detectors[cols], U)
-    return S
+    """Cluster-conditional scores (N, L): every language scores the
+    length-normalised stage-2 rows U2[c] of its own cluster c (U2 is (C, N, d)).
+
+    All clusters are scored in one pass. The cross terms are one stacked
+    product against each cluster's padded detectors, (C, N, m); the row and
+    detector terms are computed once; each language's column is then
+    gathered from its cluster and slot.
+    """
+    C, N, d = U2.shape
+    U = U2.reshape(C * N, d)
+    UL = (U @ params.Lambda).reshape(C, N, d)
+    cross = 2.0 * UL @ detectors[info.pad_cols].transpose(0, 2, 1)
+    q_u = ((U @ params.Gamma) * U).sum(axis=1).reshape(C, N)
+    lin_u = (U @ params.c).reshape(C, N)
+    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=1)[:, None]
+    lin_d = (detectors @ params.c)[:, None]
+    c, s = info.lang_cluster_idx, info.lang_slot
+    S_T = cross[c, :, s] + q_u[c] + q_d + lin_u[c] + lin_d + params.k  # (L, N)
+    return np.ascontiguousarray(S_T.T)
 
 
 def combine_matrix(L_c, L_lc, info: HierCombineInfo):

@@ -326,10 +326,22 @@ def enrollment_stats(model: PldaModel, groups: list[np.ndarray]) -> EnrollmentSt
     return EnrollmentStats(counts=counts, sums=sums, sq_terms=sq)
 
 
-def exact_llr_matrix(
-    model: PldaModel, stats: EnrollmentStats, X: np.ndarray
-) -> np.ndarray:
-    """Exact LLRs of every test row against every enrollment group: (N, L).
+@dataclass(frozen=True)
+class ExactLlrTables:
+    """Per-detector tables of exact scoring in the diagonal basis.
+
+    The LLR of a test row x against detector j is
+    (x'T) G1_j + (x'T)^2 G2_j + const_j; see exact_llr_tables.
+    """
+
+    T: np.ndarray  # (d, d) basis of the model
+    G1: np.ndarray  # (L, d)
+    G2: np.ndarray  # (L, d)
+    const: np.ndarray  # (L,)
+
+
+def exact_llr_tables(model: PldaModel, stats: EnrollmentStats) -> ExactLlrTables:
+    """Tables that score every test row against every enrollment group.
 
     In the diagonal basis (x~ = T'x, mu~ = T'mu, a_j = psi mu~ + T' sums_j,
     S_j the enrollment count) the LLR separates per component k into
@@ -337,18 +349,14 @@ def exact_llr_matrix(
     G1_jk = a_jk / (psi_k + S_j + 1) - psi_k mu~_k / (psi_k + 1),
     G2_jk = -S_j / (2 (psi_k + 1) (psi_k + S_j + 1)) and
     2 c_jk = log(1 + 1/psi_k) - log(1 + 1/(psi_k + S_j))
-             + psi_k mu~_k^2 / (psi_k + 1) - a_jk^2 / ((psi_k + S_j)(psi_k + S_j + 1)),
-    so all detectors are scored by two matrix products. The 2 pi, log|W| and
-    x'Wx terms cancel, so sq_terms is not needed.
+             + psi_k mu~_k^2 / (psi_k + 1) - a_jk^2 / ((psi_k + S_j)(psi_k + S_j + 1)).
+    The 2 pi, log|W| and x'Wx terms cancel, so sq_terms is not needed.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     psi = model.psi
     mu_t = model.mu @ model.T
     psi_mu = psi * mu_t
     S = stats.counts[:, None]
     a = psi_mu + stats.sums @ model.T
-    G1 = a / (psi + S + 1.0) - psi_mu / (psi + 1.0)
-    G2 = -0.5 * S / ((psi + 1.0) * (psi + S + 1.0))
     const = 0.5 * np.sum(
         np.log1p(1.0 / psi)
         - np.log1p(1.0 / (psi + S))
@@ -356,8 +364,25 @@ def exact_llr_matrix(
         - a * a / ((psi + S) * (psi + S + 1.0)),
         axis=1,
     )
-    Xt = X @ model.T
-    return Xt @ G1.T + (Xt * Xt) @ G2.T + const
+    return ExactLlrTables(
+        T=model.T,
+        G1=a / (psi + S + 1.0) - psi_mu / (psi + 1.0),
+        G2=-0.5 * S / ((psi + 1.0) * (psi + S + 1.0)),
+        const=const,
+    )
+
+
+def apply_llr_tables(tables: ExactLlrTables, X: np.ndarray) -> np.ndarray:
+    """Exact LLRs of every test row against every detector: two matrix products, (N, L)."""
+    Xt = np.atleast_2d(np.asarray(X, dtype=np.float64)) @ tables.T
+    return Xt @ tables.G1.T + (Xt * Xt) @ tables.G2.T + tables.const
+
+
+def exact_llr_matrix(
+    model: PldaModel, stats: EnrollmentStats, X: np.ndarray
+) -> np.ndarray:
+    """Exact LLRs of every test row against every enrollment group: (N, L)."""
+    return apply_llr_tables(exact_llr_tables(model, stats), X)
 
 
 def to_pair_params(model: PldaModel) -> PairScoreParams:

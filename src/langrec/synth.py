@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import fit_generative_backend, init_from_generative
-from .clustering import ClusterMap, agglomerate, cluster_priors, linkage_merges, plda_distance_matrix
+from .clustering import ClusterMap, cluster_priors, cut_merges, linkage_merges, plda_distance_matrix
 from .dataio import (
     EmbeddingSet,
     balance_weights,
@@ -145,7 +145,7 @@ def tune_cluster_threshold(
     L = len(langs)
     best = None
     for threshold in candidates:
-        cmap = agglomerate(langs, dist, threshold)
+        cmap = cut_merges(langs, merges, threshold)
         C = cmap.n_clusters()
         if C < 2 or L - C < 1:
             continue

@@ -82,15 +82,6 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def bce_loss(scores: np.ndarray, label_idx: np.ndarray, pi: float) -> float:
     """Weighted binary cross-entropy over an (n, L) score batch.
 
@@ -117,11 +108,11 @@ def _bce_loss_grad(scores, label_idx, pi):
     P = float(n)
     N = float(n * (L - 1))
     log_1mq = -_softplus(a)
-    log_q = -_softplus(-a)
-    loss = -(pi / P) * log_q[rows, label_idx].sum()
+    loss = -(pi / P) * (-_softplus(-a[rows, label_idx])).sum()
     loss -= ((1.0 - pi) / N) * (log_1mq.sum() - log_1mq[rows, label_idx].sum())
 
-    q = _sigmoid(a)
+    e = np.exp(-np.abs(a))  # q = sigmoid(a) without overflow on either side
+    q = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     G = ((1.0 - pi) / N) * q
     G[rows, label_idx] = -(pi / P) * (1.0 - q[rows, label_idx])
     return float(loss), G
@@ -283,9 +274,9 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """Loss and gradients for a hierarchical backend given its parameter dict.
 
     The forward pass is the scorer's: hier.shifted_projection projects X once
-    for every cluster shift, hier.stage2_scores scores each cluster's
-    languages and hier.combine_matrix combines the two stages. The backward
-    pass folds the shifts the same way as the projection: with r_c = g_Zc' 1,
+    for every cluster shift, hier.stage2_scores scores the languages of every
+    cluster in one pass and hier.combine_matrix combines the two stages. The
+    backward pass folds the shifts the same way as the projection: with r_c = g_Zc' 1,
     g_A = (sum_c g_Zc)' X - sum_c r_c s_c', g_b = sum_c r_c and g_s_c = -r_c A.
     """
     singleton = info.singleton
@@ -307,8 +298,7 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     d_c[:, singleton] = 1.0
     d_lc[:, singleton] = 0.0
     G2 = G_lan * d_lc
-    contrib = G_lan * d_c
-    G1 = np.column_stack([contrib[:, cols].sum(axis=1) for cols in info.cluster_cols])
+    G1 = _padded(G_lan * d_c, info).sum(axis=2).T
 
     if alpha > 0.0:
         loss_clu, G_clu = _bce_loss_grad(S1, info.lang_cluster_idx[label_idx], pi)
@@ -317,35 +307,44 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
 
     grads = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
 
-    g_Lam2 = g_Gam2 = g_c2 = g_k2 = 0.0
-    g_det2 = np.empty_like(dets2)
-    g_Z2 = np.empty_like(U2)
-    for ci, cols in enumerate(info.cluster_cols):
-        g_Lam, g_Gam, g_c, g_k, g_det, g_U = _pair_backward(
-            pair2, dets2[cols], U2[ci], G2[:, cols]
-        )
-        g_det2[cols] = g_det
-        g_Lam2 += g_Lam
-        g_Gam2 += g_Gam
-        g_c2 += g_c
-        g_k2 += g_k
-        g_Z2[ci] = _lengthnorm_backward(g_U, U2[ci], norms2[ci])
+    # Stage 2 as _pair_backward over all clusters at once: G2p (C, N, m) holds
+    # each cluster's score gradients in its padded slots, zero elsewhere, so
+    # summing over the stacked rows sums over clusters; the detector terms
+    # need only the column sums, computed over all L detectors.
+    C, N, d2 = U2.shape
+    U = U2.reshape(C * N, d2)
+    G2p = _padded(G2, info)
+    row_sum = G2p.sum(axis=2).reshape(C * N)
+    col_sum = G2.sum(axis=0)
+    GD = (G2p @ dets2[info.pad_cols]).reshape(C * N, d2)
+    GtU = (G2p.transpose(0, 2, 1) @ U2)[info.lang_cluster_idx, info.lang_slot]
+    sym_G = pair2.Gamma + pair2.Gamma.T
+    g_U = 2.0 * GD @ pair2.Lambda.T + row_sum[:, None] * (U @ sym_G + pair2.c)
+    g_Z2 = _lengthnorm_backward(g_U, U, norms2.reshape(C * N)).reshape(C, N, d2)
     r = g_Z2.sum(axis=1)  # (C, d2)
     grads.update(
         {
             "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts,
             "stage2.b": r.sum(axis=0),
-            "stage2.Lambda": g_Lam2,
-            "stage2.Gamma": g_Gam2,
-            "stage2.c": g_c2,
-            "stage2.k": np.array(g_k2),
-            "stage2.detectors": g_det2,
+            "stage2.Lambda": 2.0 * U.T @ GD,
+            "stage2.Gamma": (U * row_sum[:, None]).T @ U + (dets2 * col_sum[:, None]).T @ dets2,
+            "stage2.c": U.T @ row_sum + dets2.T @ col_sum,
+            "stage2.k": np.array(G2.sum()),
+            "stage2.detectors": 2.0 * GtU @ pair2.Lambda
+            + col_sum[:, None] * (dets2 @ sym_G + pair2.c),
             "shifts": -r @ A2,
         }
     )
 
     _check_finite(loss, grads)
     return loss, grads
+
+
+def _padded(M, info: HierCombineInfo):
+    """(N, L) per-language values in the padded (C, N, m) cluster layout, zero in padded slots."""
+    out = np.zeros((len(info.pad_cols), len(M), info.pad_cols.shape[1]))
+    np.moveaxis(out, 1, 0)[:, info.lang_cluster_idx, info.lang_slot] = M
+    return out
 
 
 def _check_finite(loss, grads):

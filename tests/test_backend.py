@@ -350,6 +350,6 @@ class TestInitHier:
         P = np.array([prior_odds(0.5), prior_odds(0.5)])
         from langrec.hier import HierCombineInfo, combine_matrix
 
-        info = HierCombineInfo(idx, P, P, np.zeros(2, dtype=bool), (idx[:1], idx[1:]))
+        info = HierCombineInfo(idx, P, P, np.zeros(2, dtype=bool), 0 * idx, idx[:, None])
         out, _, _ = combine_matrix(np.zeros((3, 2)), np.zeros((3, 2)), info)
         assert np.allclose(out, 0.0, atol=1e-14)

@@ -3,10 +3,12 @@ import pytest
 
 from langrec.clustering import (
     ClusterMap,
+    MergeStep,
     agglomerate,
     cluster_map_from_json,
     cluster_map_to_json,
     cluster_priors,
+    cut_merges,
     linkage_merges,
     plda_distance_matrix,
 )
@@ -34,6 +36,30 @@ def brute_force_average_linkage(labels, dist, threshold):
         merged = clusters[i] | clusters[j]
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)] + [merged]
     return {frozenset(c) for c in clusters}
+
+
+def reference_linkage_merges(labels, dist):
+    """Oracle: the merge sequence recomputing every cluster-pair linkage at
+    every merge, with the surviving cluster's members first."""
+    clusters = [[i] for i in range(len(labels))]
+
+    def name(members):
+        return min(labels[i] for i in members)
+
+    merges = []
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = float(np.mean(dist[np.ix_(clusters[i], clusters[j])]))
+                key = (d, tuple(sorted((name(clusters[i]), name(clusters[j])))))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        (d, pair), i, j = best
+        merges.append(MergeStep(step=len(merges), left=pair[0], right=pair[1], distance=d))
+        merged = clusters[i] + clusters[j]
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)] + [merged]
+    return merges
 
 
 def random_distance_matrix(rng, n):
@@ -144,6 +170,26 @@ class TestAgglomerate:
             for members in fine.cluster_languages.values():
                 targets = {coarse.assignment[l] for l in members}
                 assert len(targets) == 1
+
+    def test_merges_bit_identical_to_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(30):
+            n = int(rng.integers(2, 16))
+            labels = [f"l{i:02d}" for i in rng.permutation(n)]
+            D = random_distance_matrix(rng, n)
+            if trial % 2:  # coarse values: ties between linkages and tie-breaks by name
+                D = np.round(D / 5.0)
+                np.fill_diagonal(D, -np.inf)
+            assert linkage_merges(labels, D) == reference_linkage_merges(labels, D)
+
+    def test_cut_merges_equals_agglomerate(self):
+        rng = np.random.default_rng(13)
+        n = 9
+        labels = [f"l{i}" for i in range(n)]
+        D = random_distance_matrix(rng, n)
+        merges = linkage_merges(labels, D)
+        for thr in [m.distance for m in merges] + [0.0, 25.0]:
+            assert cut_merges(labels, merges, thr) == agglomerate(labels, D, thr)
 
     def test_deterministic_with_ties(self):
         labels = ["b", "a", "d", "c"]

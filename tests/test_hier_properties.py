@@ -5,13 +5,15 @@ per cluster. The reference below does not fold: it shifts every row by its
 cluster vector, projects and length-normalises it with the stage's
 preprocessing, scores each (row, language) pair with the scalar pair_score
 and combines the two stages with the scalar combine_llr. Random backends
-have 2-4 clusters, always including a singleton cluster.
+have 2-4 clusters, always including a singleton cluster. The gradients of
+the hierarchical loss are checked against finite differences at random
+parameters, with clusters that interleave in detector order.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from langrec.backend import FlatBackend
@@ -19,8 +21,9 @@ from langrec.clustering import cluster_priors
 from langrec.hier import HierBackend, combine_llr, prior_odds
 from langrec.plda import PairScoreParams, pair_score, pair_score_matrix
 from langrec.preproc import AffinePreproc
+from langrec.training import get_params, hier_loss_grads
 
-from test_training import random_symmetric
+from test_training import finite_difference_check, random_symmetric
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -64,6 +67,31 @@ def hier_problems(draw):
     return backend, rng.standard_normal((n_rows, in_dim))
 
 
+@st.composite
+def interleaved_hier_problems(draw):
+    """(HierBackend, raw rows, labels) with uneven clusters of 1-4 languages,
+    always a singleton, whose languages interleave in detector order."""
+    sizes = [1] + draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    assume(max(sizes) > 1)
+    in_dim = draw(st.integers(2, 5))
+    out1 = draw(st.integers(1, min(in_dim, 3)))
+    out2 = draw(st.integers(1, min(in_dim, 3)))
+    n_rows = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = [f"l{i:02d}" for i in rng.permutation(sum(sizes))]
+    ends = np.cumsum(sizes)
+    parts = [names[end - size : end] for size, end in zip(sizes, ends)]
+    cmap = cluster_priors({min(p): tuple(p) for p in parts})
+    backend = HierBackend(
+        stage1=random_stage(rng, cmap.cluster_names, in_dim, out1),
+        stage2=random_stage(rng, cmap.languages, in_dim, out2),
+        shifts=0.5 * rng.standard_normal((len(sizes), in_dim)),
+        cluster_map=cmap,
+    )
+    X = rng.standard_normal((n_rows, in_dim))
+    return backend, X, rng.integers(0, len(names), size=n_rows)
+
+
 def unfolded_scores(backend, X):
     s1, s2, cmap = backend.stage1, backend.stage2, backend.cluster_map
     out = np.empty((len(X), backend.n_detectors))
@@ -93,6 +121,14 @@ def test_folded_scores_match_unfolded_reference(problem):
 
 
 @SETTINGS
+@given(interleaved_hier_problems())
+def test_interleaved_clusters_match_unfolded_reference(problem):
+    backend, X, _ = problem
+    want = unfolded_scores(backend, X)
+    assert np.all(np.abs(backend.score_matrix(X) - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@SETTINGS
 @given(hier_problems())
 def test_single_row_equals_its_batched_row(problem):
     backend, X = problem
@@ -100,6 +136,50 @@ def test_single_row_equals_its_batched_row(problem):
     for i in range(len(X)):
         row = backend.score_matrix(X[i : i + 1])[0]
         assert np.all(np.abs(row - batch[i]) <= 1e-12 * np.maximum(1.0, np.abs(batch[i])))
+
+
+def test_interleaved_problems_cover_gaps_and_padding():
+    """The strategy draws clusters that are not contiguous in detector order and
+    clusters of different sizes, which the padded stage-2 layout must handle."""
+    seen_gap = seen_pad = False
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(interleaved_hier_problems())
+    def look(problem):
+        nonlocal seen_gap, seen_pad
+        info = problem[0].combine
+        seen_pad |= bool(np.any(np.bincount(info.lang_cluster_idx) < info.pad_cols.shape[1]))
+        seen_gap |= any(
+            np.any(np.diff(np.flatnonzero(info.lang_cluster_idx == c)) > 1)
+            for c in range(len(info.pad_cols))
+        )
+
+    look()
+    assert seen_gap and seen_pad
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(interleaved_hier_problems())
+def test_pad_tables_index_each_language_once(problem):
+    info = problem[0].combine
+    L = len(info.lang_cluster_idx)
+    assert np.array_equal(info.pad_cols[info.lang_cluster_idx, info.lang_slot], np.arange(L))
+    for c, row in enumerate(info.pad_cols):
+        cols = np.flatnonzero(info.lang_cluster_idx == c)
+        assert sorted(info.lang_slot[cols]) == list(range(len(cols)))
+        assert np.array_equal(row[len(cols) :], np.zeros(len(row) - len(cols)))
+
+
+@SETTINGS
+@given(interleaved_hier_problems(), st.sampled_from([0.0, 0.3]))
+def test_hier_gradients_match_finite_differences(problem, alpha):
+    backend, X, y = problem
+    info = backend.combine
+
+    def loss_fn(p):
+        return hier_loss_grads(p, info, X, y, pi=0.1, alpha=alpha)
+
+    assert finite_difference_check(loss_fn, get_params(backend)) <= 1e-4
 
 
 @st.composite

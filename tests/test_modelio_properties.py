@@ -60,11 +60,12 @@ def dplda_backends(draw):
 def arrays(backend) -> dict:
     """Every stored or derived array of a backend, keyed by name."""
     if isinstance(backend, GenerativeBackend):
-        m, e = backend.model, backend.enroll
+        m, e, t = backend.model, backend.enroll, backend.tables
         return {
             "A": backend.preproc.A, "b": backend.preproc.b, "mu": m.mu,
             "B_prec": m.B_prec, "W": m.W, "psi": m.psi, "T": m.T,
             "counts": e.counts, "sums": e.sums, "sq_terms": e.sq_terms,
+            "tables.T": t.T, "tables.G1": t.G1, "tables.G2": t.G2, "tables.const": t.const,
         }
     if isinstance(backend, HierBackend):
         out = {"shifts": backend.shifts}
@@ -73,9 +74,9 @@ def arrays(backend) -> dict:
         info = backend.combine
         out.update(
             {"lang_cluster_idx": info.lang_cluster_idx, "P_c": info.P_c, "P_lc": info.P_lc,
-             "singleton": info.singleton}
+             "singleton": info.singleton, "pad_cols": info.pad_cols,
+             "lang_slot": info.lang_slot}
         )
-        out.update({f"cluster_cols.{i}": cols for i, cols in enumerate(info.cluster_cols)})
         return out
     p = backend.params
     return {

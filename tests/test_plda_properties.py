@@ -4,6 +4,8 @@ Random models have dimension 1-6, a between-class precision with condition
 number at most 1e4 and enrollment sets of 1-5 vectors. The scalar oracle
 exact_llr is the reference; at much worse conditioning (about 1e8) the
 oracle itself loses accuracy, so that regime is not tested here.
+GenerativeBackend's precomputed tables must score exactly like
+exact_llr_matrix.
 """
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langrec.plda import EnrollmentStats, PldaModel, enrollment_stats, exact_llr, exact_llr_matrix
+
+from test_modelio_properties import plda_backends
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -75,3 +79,14 @@ def test_permuting_detectors_permutes_columns(problem, random):
     full = exact_llr_matrix(model, stats, X)
     got = exact_llr_matrix(model, permuted, X)
     assert np.abs(got - full[:, perm]).max() <= 1e-12 * max(1.0, np.abs(full).max())
+
+
+@SETTINGS
+@given(plda_backends())
+def test_backend_scores_bit_identical_to_exact_llr_matrix(problem):
+    """GenerativeBackend builds its detector tables once; scoring a batch or a
+    single row with them gives exact_llr_matrix's result bit for bit."""
+    backend, X = problem
+    for rows in [X] + [X[i : i + 1] for i in range(len(X))]:
+        want = exact_llr_matrix(backend.model, backend.enroll, backend.preproc.transform(rows))
+        assert backend.score_matrix(rows).tobytes() == want.tobytes()

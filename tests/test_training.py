@@ -11,6 +11,8 @@ from langrec.plda import PairScoreParams
 from langrec.preproc import AffinePreproc
 from langrec.training import (
     TrainConfig,
+    _bce_loss_grad,
+    _softplus,
     adam_init,
     adam_step,
     bce_loss,
@@ -110,6 +112,41 @@ class TestBceLoss:
         assert trial_bce(scores.ravel(), tar.ravel(), 0.2) == pytest.approx(
             bce_loss(scores, labels, 0.2), rel=1e-12
         )
+
+
+def reference_bce_loss_grad(scores, label_idx, pi):
+    """The loss and gradient with full N x L log q and a masked sigmoid."""
+    n, L = scores.shape
+    a = scores + math.log(pi / (1.0 - pi))
+    rows = np.arange(n)
+    P, N = float(n), float(n * (L - 1))
+    log_1mq = -_softplus(a)
+    log_q = -_softplus(-a)
+    loss = -(pi / P) * log_q[rows, label_idx].sum()
+    loss -= ((1.0 - pi) / N) * (log_1mq.sum() - log_1mq[rows, label_idx].sum())
+    q = np.empty_like(a)
+    pos = a >= 0
+    q[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ex = np.exp(a[~pos])
+    q[~pos] = ex / (1.0 + ex)
+    G = ((1.0 - pi) / N) * q
+    G[rows, label_idx] = -(pi / P) * (1.0 - q[rows, label_idx])
+    return float(loss), G
+
+
+def test_bce_loss_grad_is_bit_identical_to_reference():
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        n, L = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+        scale = (1.0, 30.0, 900.0)[case % 3]
+        scores = scale * rng.standard_normal((n, L))
+        scores[rng.random((n, L)) < 0.1] = 0.0
+        labels = rng.integers(0, L, size=n)
+        pi = float(rng.uniform(0.001, 0.999))
+        loss, G = _bce_loss_grad(scores, labels, pi)
+        want_loss, want_G = reference_bce_loss_grad(scores, labels, pi)
+        assert loss == want_loss
+        assert G.tobytes() == want_G.tobytes()
 
 
 class TestCombinedLoss:
