@@ -17,6 +17,7 @@ import numpy as np
 from .clustering import ClusterMap
 from .dataio import EmbeddingSet, per_language_means
 from .backend import FlatBackend, init_from_generative
+from .plda import pair_score_matrix
 from .preproc import length_normalize
 
 
@@ -161,22 +162,12 @@ def stage2_scores(params, detectors, U2, info: HierCombineInfo) -> np.ndarray:
     """Cluster-conditional scores (N, L): every language scores the
     length-normalised stage-2 rows U2[c] of its own cluster c (U2 is (C, N, d)).
 
-    All clusters are scored in one pass. The cross terms are one stacked
-    product against each cluster's padded detectors, (C, N, m); the row and
-    detector terms are computed once; each language's column is then
-    gathered from its cluster and slot.
+    All clusters are scored in one pair_score_matrix pass against their
+    padded detectors, (C, N, m); each language's column is then gathered
+    from its cluster and slot.
     """
-    C, N, d = U2.shape
-    U = U2.reshape(C * N, d)
-    UL = (U @ params.Lambda).reshape(C, N, d)
-    cross = 2.0 * UL @ detectors[info.pad_cols].transpose(0, 2, 1)
-    q_u = ((U @ params.Gamma) * U).sum(axis=1).reshape(C, N)
-    lin_u = (U @ params.c).reshape(C, N)
-    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=1)[:, None]
-    lin_d = (detectors @ params.c)[:, None]
-    c, s = info.lang_cluster_idx, info.lang_slot
-    S_T = cross[c, :, s] + q_u[c] + q_d + lin_u[c] + lin_d + params.k  # (L, N)
-    return np.ascontiguousarray(S_T.T)
+    S = pair_score_matrix(params, detectors[info.pad_cols], U2)
+    return np.ascontiguousarray(S[info.lang_cluster_idx, :, info.lang_slot].T)
 
 
 def combine_matrix(L_c, L_lc, info: HierCombineInfo):

@@ -432,16 +432,21 @@ def pair_score_matrix(
 ) -> np.ndarray:
     """Pairwise scores of every test row in U against every detector row: (N, L).
 
-    Reads only params.Lambda, .Gamma, .c and .k; neither matrix need be symmetric.
+    Leading axes stack independent blocks: U (..., N, d) and detectors
+    (..., L, d) give (..., N, L). Reads only params.Lambda, .Gamma, .c and
+    .k; neither matrix need be symmetric.
     """
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     detectors = np.atleast_2d(np.asarray(detectors, dtype=np.float64))
-    cross = 2.0 * U @ params.Lambda @ detectors.T
-    q_u = ((U @ params.Gamma) * U).sum(axis=1)
-    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=1)
+    cross = 2.0 * U @ params.Lambda @ np.swapaxes(detectors, -1, -2)
+    q_u = ((U @ params.Gamma) * U).sum(axis=-1)
+    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=-1)
     lin_u = U @ params.c
     lin_d = detectors @ params.c
-    return cross + q_u[:, None] + q_d[None, :] + lin_u[:, None] + lin_d[None, :] + params.k
+    return (
+        cross + q_u[..., :, None] + q_d[..., None, :] + lin_u[..., :, None]
+        + lin_d[..., None, :] + params.k
+    )
 
 
 def approx_llr(params: PairScoreParams, enroll: np.ndarray, test: np.ndarray) -> float:

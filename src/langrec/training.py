@@ -217,19 +217,36 @@ def _pair_params(params, prefix):
 def _pair_backward(pair, detectors, U, G):
     """Gradients of sum(G * S) through the pairwise score matrix S.
 
-    Exact for arbitrary (possibly asymmetric) stored Lambda/Gamma, which
-    keeps entry-wise finite-difference checks honest.
+    Leading axes stack independent blocks as in pair_score_matrix: U
+    (..., N, d), detectors (..., L, d) and G (..., N, L). g_det and g_U keep
+    the blocks; the parameter gradients sum over them, each as one product
+    over the stacked rows. Exact for arbitrary (possibly asymmetric) stored
+    Lambda/Gamma, which keeps entry-wise finite-difference checks honest.
     """
-    row_sum = G.sum(axis=1)
-    col_sum = G.sum(axis=0)
-    g_Lambda = 2.0 * U.T @ G @ detectors
-    g_Gamma = (U * row_sum[:, None]).T @ U + (detectors * col_sum[:, None]).T @ detectors
-    g_c = U.T @ row_sum + detectors.T @ col_sum
+    row_sum = G.sum(axis=-1)
+    col_sum = G.sum(axis=-2)
+    Uf, Df = _stacked_rows(U), _stacked_rows(detectors)
+    # sum_b (2 U_b' G_b) D_b: the blocks 2 U_b' G_b side by side times the stacked D_b.
+    g_Lambda = _stacked_rows(_T(2.0 * _T(U) @ G)).T @ Df
+    g_Gamma = _stacked_rows(U * row_sum[..., None]).T @ Uf + (
+        _stacked_rows(detectors * col_sum[..., None]).T @ Df
+    )
+    g_c = Uf.T @ row_sum.ravel() + Df.T @ col_sum.ravel()
     g_k = np.array(G.sum())
     sym_G = pair.Gamma + pair.Gamma.T
-    g_det = 2.0 * G.T @ U @ pair.Lambda + col_sum[:, None] * (detectors @ sym_G + pair.c)
-    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[:, None] * (U @ sym_G + pair.c)
+    g_det = 2.0 * _T(G) @ U @ pair.Lambda + col_sum[..., None] * (detectors @ sym_G + pair.c)
+    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[..., None] * (U @ sym_G + pair.c)
     return g_Lambda, g_Gamma, g_c, g_k, g_det, g_U
+
+
+def _T(M):
+    """Every block of M transposed: its last two axes swapped."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _stacked_rows(M):
+    """The rows of every block of M (..., n, d) stacked into one (-1, d) matrix."""
+    return M.reshape(-1, M.shape[-1])
 
 
 def _lengthnorm_backward(g_U, U, norms):
@@ -307,31 +324,25 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
 
     grads = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
 
-    # Stage 2 as _pair_backward over all clusters at once: G2p (C, N, m) holds
-    # each cluster's score gradients in its padded slots, zero elsewhere, so
-    # summing over the stacked rows sums over clusters; the detector terms
-    # need only the column sums, computed over all L detectors.
+    # Stage 2 backpropagates through the padded (C, N, m) layout of
+    # stage2_scores; the padded slots carry zero score gradient.
     C, N, d2 = U2.shape
-    U = U2.reshape(C * N, d2)
-    G2p = _padded(G2, info)
-    row_sum = G2p.sum(axis=2).reshape(C * N)
-    col_sum = G2.sum(axis=0)
-    GD = (G2p @ dets2[info.pad_cols]).reshape(C * N, d2)
-    GtU = (G2p.transpose(0, 2, 1) @ U2)[info.lang_cluster_idx, info.lang_slot]
-    sym_G = pair2.Gamma + pair2.Gamma.T
-    g_U = 2.0 * GD @ pair2.Lambda.T + row_sum[:, None] * (U @ sym_G + pair2.c)
-    g_Z2 = _lengthnorm_backward(g_U, U, norms2.reshape(C * N)).reshape(C, N, d2)
+    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
+        pair2, dets2[info.pad_cols], U2, _padded(G2, info)
+    )
+    g_Z2 = _lengthnorm_backward(
+        _stacked_rows(g_U), _stacked_rows(U2), norms2.ravel()
+    ).reshape(C, N, d2)
     r = g_Z2.sum(axis=1)  # (C, d2)
     grads.update(
         {
             "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts,
             "stage2.b": r.sum(axis=0),
-            "stage2.Lambda": 2.0 * U.T @ GD,
-            "stage2.Gamma": (U * row_sum[:, None]).T @ U + (dets2 * col_sum[:, None]).T @ dets2,
-            "stage2.c": U.T @ row_sum + dets2.T @ col_sum,
-            "stage2.k": np.array(G2.sum()),
-            "stage2.detectors": 2.0 * GtU @ pair2.Lambda
-            + col_sum[:, None] * (dets2 @ sym_G + pair2.c),
+            "stage2.Lambda": g_Lambda,
+            "stage2.Gamma": g_Gamma,
+            "stage2.c": g_c,
+            "stage2.k": g_k,
+            "stage2.detectors": g_det[info.lang_cluster_idx, info.lang_slot],
             "shifts": -r @ A2,
         }
     )

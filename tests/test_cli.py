@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from langrec.cli import main
+from langrec.clustering import merges_to_tsv, plda_distance_matrix
+from langrec.dataio import load_embeddings, per_language_means
 from langrec.backend import FlatBackend, GenerativeBackend
 from langrec.hier import HierBackend
 from langrec.modelio import load_model, save_model
+
+from test_clustering import brute_force_average_linkage, reference_linkage_merges
 
 
 SYNTH_CONFIG = {
@@ -124,6 +128,19 @@ class TestClusterCommand:
         dendro = (workdir / "clusters.dendrogram.tsv").read_text().splitlines()
         assert dendro[0] == "step\tleft\tright\tdistance"
         assert len(dendro) == 5  # header + 4 merges for 5 languages
+
+    def test_outputs_match_recomputed_linkage(self, workdir):
+        """The command cuts the merge sequence it writes; both outputs agree
+        with the O(n^3) reference merges and the brute-force threshold cut."""
+        model, _ = load_model(workdir / "plda.json")
+        means = per_language_means(load_embeddings(workdir / "data" / "train.tsv"))
+        langs, dist = plda_distance_matrix(means, model.model, model.preproc)
+        dendro = (workdir / "clusters.dendrogram.tsv").read_text()
+        assert dendro == merges_to_tsv(reference_linkage_merges(langs, dist))
+        doc = json.loads((workdir / "clusters.json").read_text())
+        assert {frozenset(m) for m in doc["clusters"].values()} == (
+            brute_force_average_linkage(langs, dist, 20.0)
+        )
 
     def test_threshold_extremes(self, workdir, tmp_path):
         data = workdir / "data"

@@ -8,7 +8,6 @@ from langrec.clustering import (
     cluster_map_from_json,
     cluster_map_to_json,
     cluster_priors,
-    cut_merges,
     linkage_merges,
     plda_distance_matrix,
 )
@@ -181,15 +180,6 @@ class TestAgglomerate:
                 D = np.round(D / 5.0)
                 np.fill_diagonal(D, -np.inf)
             assert linkage_merges(labels, D) == reference_linkage_merges(labels, D)
-
-    def test_cut_merges_equals_agglomerate(self):
-        rng = np.random.default_rng(13)
-        n = 9
-        labels = [f"l{i}" for i in range(n)]
-        D = random_distance_matrix(rng, n)
-        merges = linkage_merges(labels, D)
-        for thr in [m.distance for m in merges] + [0.0, 25.0]:
-            assert cut_merges(labels, merges, thr) == agglomerate(labels, D, thr)
 
     def test_deterministic_with_ties(self):
         labels = ["b", "a", "d", "c"]

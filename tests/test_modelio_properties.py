@@ -121,6 +121,6 @@ def test_dplda_round_trip_is_bit_identical(problem):
 @SETTINGS
 @given(hier_problems())
 def test_hdplda_round_trip_is_bit_identical(problem):
-    backend, X = problem
+    backend, X, _ = problem
     assert backend.combine.singleton.any()
     check_round_trip(backend, X)
