@@ -60,9 +60,6 @@ class FlatBackend:
         U = self.preproc.transform(X)
         return pair_score_matrix(self.params, self.detectors, U)
 
-    def score_all(self, x: np.ndarray) -> np.ndarray:
-        return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
 
 @dataclass
 class GenerativeBackend:
@@ -85,11 +82,11 @@ class GenerativeBackend:
             raise ValueError("detector labels must be unique")
         if self.preproc.out_dim != d:
             raise ValueError("PLDA model dimension disagrees with preprocessing")
-        counts, sums, sq_terms = self.enroll.counts, self.enroll.sums, self.enroll.sq_terms
-        if np.shape(counts) != (L,) or np.shape(sums) != (L, d) or np.shape(sq_terms) != (L,):
+        counts, sums = self.enroll.counts, self.enroll.sums
+        if np.shape(counts) != (L,) or np.shape(sums) != (L, d):
             raise ValueError(
-                f"enrollment statistics must be counts ({L},), sums ({L}, {d}) "
-                f"and sq_terms ({L},) for {L} detectors of dimension {d}"
+                f"enrollment statistics must be counts ({L},) and sums ({L}, {d}) "
+                f"for {L} detectors of dimension {d}"
             )
         if not np.all(np.asarray(counts) >= 1):
             raise ValueError("every enrollment count must be at least 1")
@@ -101,9 +98,6 @@ class GenerativeBackend:
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         return apply_llr_tables(self.tables, self.preproc.transform(X))
-
-    def score_all(self, x: np.ndarray) -> np.ndarray:
-        return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def fit_generative(
@@ -137,7 +131,7 @@ def fit_generative_backend(
         preproc=preproc,
         model=model,
         detector_labels=detector_labels,
-        enroll=enrollment_stats(model, groups),
+        enroll=enrollment_stats(groups),
     )
 
 

@@ -145,9 +145,6 @@ class HierBackend:
         L_c, L_lc = self.stage_scores(X)
         return combine_matrix(L_c, L_lc, self.combine)[0]
 
-    def score_all(self, x: np.ndarray) -> np.ndarray:
-        return self.score_matrix(np.asarray(x, dtype=np.float64)[None, :])[0]
-
 
 def shifted_projection(A, b, shifts, X) -> np.ndarray:
     """Affine outputs A (x - s_c) + b of every row of X under every shift: (C, N, d).

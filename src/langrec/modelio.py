@@ -1,11 +1,13 @@
 """Model file serialization.
 
-One JSON document per model, format_version "1". The kind field selects
+One JSON document per model, format_version "2". The kind field selects
 the sections: "plda" stores the generative model plus per-language
 enrollment statistics, "dplda" a flat pairwise backend, "hdplda" the two
 stages, shifts, and the cluster map. Floats round-trip exactly through
 JSON (shortest-repr encoding), so a saved and reloaded model scores
-bit-identically.
+bit-identically. Version "1" files still load: they differ only in a
+per-language "sq_term" of plda files, which cancels out of the score and
+is ignored.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .hier import HierBackend
 from .plda import EnrollmentStats, PairScoreParams, PldaModel
 from .preproc import AffinePreproc
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 class ModelFormatError(ValueError):
@@ -95,7 +97,6 @@ def model_to_doc(backend, train_config=None, seed=None) -> dict:
                 "language": lab,
                 "n": backend.enroll.counts[i],
                 "sum": backend.enroll.sums[i].tolist(),
-                "sq_term": backend.enroll.sq_terms[i],
             }
             for i, lab in enumerate(backend.detector_labels)
         ]
@@ -119,7 +120,7 @@ def model_to_doc(backend, train_config=None, seed=None) -> dict:
 def model_from_doc(doc: dict):
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must hold one JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if doc.get("format_version") not in ("1", FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format_version {doc.get('format_version')!r}")
     kind = doc.get("kind")
     if kind not in ("plda", "dplda", "hdplda"):
@@ -147,7 +148,6 @@ def _backend_from_doc(doc: dict, kind: str):
             enroll=EnrollmentStats(
                 counts=np.array([e["n"] for e in enroll], dtype=np.float64),
                 sums=np.array([e["sum"] for e in enroll]),
-                sq_terms=np.array([e["sq_term"] for e in enroll], dtype=np.float64),
             ),
         )
     if kind == "dplda":

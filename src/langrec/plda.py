@@ -37,18 +37,20 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _cholesky_or_repair(M: np.ndarray, name: str) -> np.ndarray:
-    """Cholesky factor of M, ridge-repairing near-singular input with a warning."""
+    """Cholesky factor of M, ridge-repaired with a warning when the smallest
+    eigenvalue of M is below the ridge (1e-8 of its mean eigenvalue).
+
+    Deciding by the eigenvalue, not by whether Cholesky happens to succeed,
+    keeps the sign of roundoff in a null direction from choosing the outcome.
+    """
+    ridge = _RIDGE_SCALE * np.trace(M) / M.shape[0]
+    if ridge > 0.0 and np.linalg.eigvalsh(M)[0] < ridge:
+        logger.warning("%s not positive definite; ridge-repairing with %.3g", name, ridge)
+        M = M + ridge * np.eye(M.shape[0])
     try:
         return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        ridge = _RIDGE_SCALE * np.trace(M) / M.shape[0]
-        if not ridge > 0.0:  # scaled by a non-positive trace, the ridge repairs nothing
-            raise ValueError(f"{name} is singular beyond ridge repair") from None
-        logger.warning("%s not positive definite; ridge-repairing with %.3g", name, ridge)
-        try:
-            return np.linalg.cholesky(M + ridge * np.eye(M.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"{name} is singular beyond ridge repair") from exc
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{name} is singular beyond ridge repair") from exc
 
 
 def _chol_logdet(L: np.ndarray) -> float:
@@ -83,12 +85,18 @@ class PldaModel:
         W = _check_symmetric(self.W, "W")
         if mu.ndim != 1 or B.shape != (mu.size, mu.size) or W.shape != B.shape:
             raise ValueError("mu, B_prec, W dimensions disagree")
-        np.linalg.cholesky(B)
         np.linalg.cholesky(W)
+        psi, V = scipy.linalg.eigh(B, W)
+        if not psi[0] > 0.0:
+            # Exact scoring and to_pair_params work in this basis; with psi <= 0
+            # their results would be wrong without any other sign.
+            raise ValueError(
+                "B_prec is not positive definite relative to W "
+                f"(smallest diagonal-basis eigenvalue {psi[0]:.3g})"
+            )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "B_prec", B)
         object.__setattr__(self, "W", W)
-        psi, V = scipy.linalg.eigh(B, W)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "T", W @ V)
 
@@ -168,51 +176,49 @@ def em_train(
     classes, masks, n_l, f_l = _class_stats(X, labels, weights)
     if len(classes) < 2:
         raise ValueError("EM needs at least 2 classes")
-    V = weights.sum()
+    total, J = weights.sum(), len(classes)
 
     # Moment initialization.
-    mu = weights @ X / V
+    mu = weights @ X / total
     class_means = f_l / n_l[:, None]
     W_cov = np.zeros((d, d))
     for mask, mean_c in zip(masks, class_means):
         D = X[mask] - mean_c
         W_cov += (weights[mask][:, None] * D).T @ D
-    W_cov /= V
+    W_cov /= total
     mbar = class_means.mean(axis=0)
     Dm = class_means - mbar
-    B_cov = Dm.T @ Dm / len(classes)
+    B_cov = Dm.T @ Dm / J
 
     B = _chol_inverse(_cholesky_or_repair(B_cov, "between-class covariance"))
     W = _chol_inverse(_cholesky_or_repair(W_cov, "within-class covariance"))
 
     S_tot = (weights[:, None] * X).T @ X
+    psi, V, mu_t, f_t = _diagonal_basis(B, W, mu, f_l)
 
     trace: list[float] = []
     prev_ll = None
     for it in range(n_iters):
-        # E-step: Gaussian posterior over each class latent.
-        Bmu = B @ mu
-        y_hat = np.empty((len(classes), d))
-        y_cov = np.empty((len(classes), d, d))
-        for j in range(len(classes)):
-            Lam = B + n_l[j] * W
-            Lc = _cholesky_or_repair(Lam, "posterior precision")
-            y_hat[j] = _chol_solve(Lc, Bmu + W @ f_l[j])
-            y_cov[j] = _chol_inverse(Lc)
+        # E-step for all classes at once: each posterior precision B + n_j W
+        # is V^-T diag(psi + n_j) V^-1. Posterior means, and the posterior
+        # covariances (B + n_j W)^-1 summed plain and weighted by n_j.
+        den = psi + n_l[:, None]
+        y_hat = ((psi * mu_t + f_t) / den) @ V.T
+        y_cov_sum = (V * (1.0 / den).sum(axis=0)) @ V.T
+        ny_cov_sum = (V * (n_l[:, None] / den).sum(axis=0)) @ V.T
 
         # M-step.
         mu = y_hat.mean(axis=0)
         Dy = y_hat - mu
-        B_cov = (y_cov.sum(axis=0) + Dy.T @ Dy) / len(classes)
-        W_cov = S_tot.copy()
-        for j in range(len(classes)):
-            cross = np.outer(f_l[j], y_hat[j])
-            W_cov += -cross - cross.T + n_l[j] * (np.outer(y_hat[j], y_hat[j]) + y_cov[j])
-        W_cov /= V
+        B_cov = (y_cov_sum + Dy.T @ Dy) / J
+        cross = f_l.T @ y_hat
+        W_cov = S_tot - cross - cross.T + (n_l[:, None] * y_hat).T @ y_hat + ny_cov_sum
+        W_cov /= total
         B = _chol_inverse(_cholesky_or_repair(B_cov, "between-class covariance"))
         W = _chol_inverse(_cholesky_or_repair(W_cov, "within-class covariance"))
 
-        ll = _weighted_ll(X, masks, n_l, f_l, weights, mu, B, W)
+        psi, V, mu_t, f_t = _diagonal_basis(B, W, mu, f_l)
+        ll = _log_likelihood(n_l, S_tot, B, W, psi, mu_t, f_t)
         trace.append(ll)
         if prev_ll is not None:
             if ll < prev_ll - 1e-8 * (1.0 + abs(prev_ll)):
@@ -227,47 +233,35 @@ def em_train(
     return model
 
 
-def _weighted_ll(X, masks, n_l, f_l, weights, mu, B, W):
-    d = X.shape[1]
-    Lw = np.linalg.cholesky(W)
-    Lb = np.linalg.cholesky(B)
-    logdet_W = _chol_logdet(Lw)
-    logdet_B = _chol_logdet(Lb)
-    Bmu = B @ mu
-    mu_B_mu = float(mu @ Bmu)
-    WX = X @ W
-    xWx = np.einsum("ij,ij->i", WX, X)
-    ll = 0.0
-    for j, mask in enumerate(masks):
-        Lam = B + n_l[j] * W
-        Lc = np.linalg.cholesky(Lam)
-        gamma = Bmu + W @ f_l[j]
-        quad = float(gamma @ _chol_solve(Lc, gamma))
-        sum_xWx = float(weights[mask] @ xWx[mask])
-        ll += (
-            -0.5 * n_l[j] * d * _LOG_2PI
-            + 0.5 * n_l[j] * logdet_W
-            + 0.5 * logdet_B
-            - 0.5 * _chol_logdet(Lc)
-            - 0.5 * (mu_B_mu + sum_xWx)
-            + 0.5 * quad
-        )
-    return ll
+def _diagonal_basis(B, W, mu, f_l):
+    """psi and V with V'WV = I and V'BV = diag(psi), plus mu and the class
+    sums in that basis: mu~ = mu W V and F~ = F W V."""
+    psi, V = scipy.linalg.eigh(B, W)
+    T = W @ V
+    return psi, V, mu @ T, f_l @ T
 
 
-def weighted_log_likelihood(
-    model: PldaModel, X: np.ndarray, labels, weights: np.ndarray | None = None
-) -> float:
-    """Weighted marginal log-likelihood of the data under the model (weights
-    normalized to mean one, matching em_train's objective)."""
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    weights = weights * (n / weights.sum())
-    _, masks, n_l, f_l = _class_stats(X, labels, weights)
-    return _weighted_ll(X, masks, n_l, f_l, weights, model.mu, model.B_prec, model.W)
+def _log_likelihood(n_l, S_tot, B, W, psi, mu_t, f_t) -> float:
+    """em_train's objective, summed over all classes in the diagonal basis.
+
+    Per class: log|B + nW| = log|W| + sum log(psi + n), sum_i w_i x_i'W x_i
+    sums to tr(W S_tot), and the quadratic terms combine per component into
+    (f~^2 + 2 psi mu~ f~ - n psi mu~^2) / (psi + n), which does not cancel.
+    log|B| comes from its Cholesky factor: when B is ill-conditioned, psi
+    can round to zero or below.
+    """
+    total, J, d = n_l.sum(), len(n_l), psi.size
+    n = n_l[:, None]
+    den = psi + n
+    quad = (f_t * f_t + psi * mu_t * (2.0 * f_t - n * mu_t)) / den
+    return 0.5 * (
+        -total * d * _LOG_2PI
+        + (total - J) * _chol_logdet(np.linalg.cholesky(W))
+        + J * _chol_logdet(np.linalg.cholesky(B))
+        - float(np.log(den).sum())
+        - float(np.sum(W * S_tot))
+        + float(quad.sum())
+    )
 
 
 def set_log_marginal(model: PldaModel, vectors: np.ndarray) -> float:
@@ -314,16 +308,13 @@ class EnrollmentStats:
 
     counts: np.ndarray  # (L,) sample counts
     sums: np.ndarray  # (L, d) vector sums
-    sq_terms: np.ndarray  # (L,) sum_i x_i' W x_i; cancels out of the LLR
 
 
-def enrollment_stats(model: PldaModel, groups: list[np.ndarray]) -> EnrollmentStats:
+def enrollment_stats(groups: list[np.ndarray]) -> EnrollmentStats:
     counts = np.array([len(g) for g in groups], dtype=np.float64)
     if np.any(counts < 1):
         raise ValueError("every enrollment group needs at least one vector")
-    sums = np.vstack([g.sum(axis=0) for g in groups])
-    sq = np.array([float(np.einsum("ij,jk,ik->", g, model.W, g)) for g in groups])
-    return EnrollmentStats(counts=counts, sums=sums, sq_terms=sq)
+    return EnrollmentStats(counts=counts, sums=np.vstack([g.sum(axis=0) for g in groups]))
 
 
 @dataclass(frozen=True)
@@ -350,7 +341,7 @@ def exact_llr_tables(model: PldaModel, stats: EnrollmentStats) -> ExactLlrTables
     G2_jk = -S_j / (2 (psi_k + 1) (psi_k + S_j + 1)) and
     2 c_jk = log(1 + 1/psi_k) - log(1 + 1/(psi_k + S_j))
              + psi_k mu~_k^2 / (psi_k + 1) - a_jk^2 / ((psi_k + S_j)(psi_k + S_j + 1)).
-    The 2 pi, log|W| and x'Wx terms cancel, so sq_terms is not needed.
+    The 2 pi, log|W| and x'Wx terms cancel, so counts and sums suffice.
     """
     psi = model.psi
     mu_t = model.mu @ model.T
@@ -389,27 +380,24 @@ def to_pair_params(model: PldaModel) -> PairScoreParams:
     """Convert (mu, B_prec, W) into the pairwise score parameters.
 
     Defined by the requirement that pair_score equals exact_llr for a
-    single enrollment vector.
+    single enrollment vector. In the diagonal basis B + W and B + 2W are
+    diag(psi + 1) and diag(psi + 2), so with h = 1 / ((psi + 1)(psi + 2)):
+    Lambda = T diag(1 / (2 (psi + 2))) T', Gamma = -T diag(h / 2) T',
+    c = -T (h psi mu~) and
+    k = -log|B|/2 + log|W|/2 + sum(log(1 + psi) - log(psi + 2)/2 + h psi mu~^2).
     """
-    B, W, mu = model.B_prec, model.W, model.mu
-    L1 = np.linalg.cholesky(B + W)  # Q1
-    L2 = np.linalg.cholesky(B + 2.0 * W)  # Q2
-    Q1_inv = _chol_inverse(L1)
-    Q2_inv = _chol_inverse(L2)
-    Lam = 0.5 * W @ Q2_inv @ W
-    Gam = 0.5 * W @ (Q2_inv - Q1_inv) @ W
-    Bmu = B @ mu
-    c = W @ (Q2_inv - Q1_inv) @ Bmu
-    k = (
-        -0.5 * _chol_logdet(np.linalg.cholesky(B))
-        - 0.5 * _chol_logdet(L2)
-        + _chol_logdet(L1)
-        + 0.5 * float(mu @ Bmu)
-        + 0.5 * float(Bmu @ Q2_inv @ Bmu)
-        - float(Bmu @ Q1_inv @ Bmu)
+    psi, T = model.psi, model.T
+    mu_t = model.mu @ T
+    h = 1.0 / ((psi + 1.0) * (psi + 2.0))
+    logdet_W = _chol_logdet(np.linalg.cholesky(model.W))
+    logdet_B = _chol_logdet(np.linalg.cholesky(model.B_prec))
+    k = 0.5 * (logdet_W - logdet_B) + float(
+        np.sum(np.log1p(psi) - 0.5 * np.log(psi + 2.0) + h * psi * mu_t * mu_t)
     )
+    Lam = (T * (0.5 / (psi + 2.0))) @ T.T
+    Gam = -(T * (0.5 * h)) @ T.T
     return PairScoreParams(
-        Lambda=0.5 * (Lam + Lam.T), Gamma=0.5 * (Gam + Gam.T), c=c, k=k
+        Lambda=0.5 * (Lam + Lam.T), Gamma=0.5 * (Gam + Gam.T), c=-T @ (h * psi * mu_t), k=k
     )
 
 

@@ -72,7 +72,7 @@ class TestScoreAll:
         train = synthetic_set(rng, means, n_per=40, sigma=0.3)
         backend = init_from_generative(train, None, out_dim=4)
         for lang, mean in means.items():
-            scores = backend.score_all(mean)
+            scores = backend.score_matrix(mean[None])[0]
             best = backend.detector_labels[int(np.argmax(scores))]
             assert best == lang
 
@@ -85,14 +85,14 @@ class TestScoreAll:
             detector_labels=("a", "b"),
             detectors=rng.standard_normal((2, 3)),
         )
-        assert np.all(backend.score_all(rng.standard_normal(3)) == 0.0)
+        assert np.all(backend.score_matrix(rng.standard_normal(3)[None])[0] == 0.0)
 
     def test_pure_function(self):
         rng = np.random.default_rng(4)
         train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=20)
         backend = init_from_generative(train, None, out_dim=2)
         x = rng.standard_normal(5)
-        assert np.array_equal(backend.score_all(x), backend.score_all(x))
+        assert np.array_equal(backend.score_matrix(x[None])[0], backend.score_matrix(x[None])[0])
 
     def test_detector_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -106,7 +106,7 @@ class TestScoreAll:
             detectors=backend.detectors[perm],
         )
         x = rng.standard_normal(6)
-        assert np.allclose(permuted.score_all(x), backend.score_all(x)[perm])
+        assert np.allclose(permuted.score_matrix(x[None])[0], backend.score_matrix(x[None])[0][perm])
 
 
 class TestGenerativeBackend:
@@ -124,7 +124,7 @@ class TestGenerativeBackend:
         train = synthetic_set(rng, means, n_per=30, sigma=0.3)
         backend = fit_generative_backend(train, None, out_dim=3)
         for lang, mean in means.items():
-            scores = backend.score_all(mean)
+            scores = backend.score_matrix(mean[None])[0]
             assert backend.detector_labels[int(np.argmax(scores))] == lang
 
 
@@ -135,7 +135,7 @@ class TestGenerativeBackendChecks:
         train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
         return fit_generative_backend(train, None, out_dim=2)
 
-    def rebuild(self, backend, labels=None, counts=None, sums=None, sq_terms=None, preproc=None):
+    def rebuild(self, backend, labels=None, counts=None, sums=None, preproc=None):
         e = backend.enroll
         return GenerativeBackend(
             preproc=backend.preproc if preproc is None else preproc,
@@ -144,7 +144,6 @@ class TestGenerativeBackendChecks:
             enroll=EnrollmentStats(
                 counts=e.counts if counts is None else counts,
                 sums=e.sums if sums is None else sums,
-                sq_terms=e.sq_terms if sq_terms is None else sq_terms,
             ),
         )
 
@@ -162,10 +161,6 @@ class TestGenerativeBackendChecks:
     def test_sums_of_wrong_dimension(self, backend):
         with pytest.raises(ValueError, match="enrollment statistics"):
             self.rebuild(backend, sums=np.zeros((3, 3)))
-
-    def test_sq_terms_of_wrong_shape(self, backend):
-        with pytest.raises(ValueError, match="enrollment statistics"):
-            self.rebuild(backend, sq_terms=np.zeros((3, 1)))
 
     def test_count_below_one(self, backend):
         with pytest.raises(ValueError, match="at least 1"):
@@ -323,10 +318,10 @@ class TestInitHier:
         train, cmap, _ = self._clustered_data(rng)
         backend = init_hier(train, cmap, None, 2, 3)
         x = train.vectors[3]
-        before = backend.score_all(x)
+        before = backend.score_matrix(x[None])[0]
         ci_other = backend.stage1.detector_labels.index("b0")
         backend.shifts[ci_other] = backend.shifts[ci_other] + 10.0
-        after = backend.score_all(x)
+        after = backend.score_matrix(x[None])[0]
         a_cols = [backend.detector_labels.index(l) for l in ("a0", "a1")]
         assert np.allclose(before[a_cols], after[a_cols])
 

@@ -304,6 +304,22 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert "is not valid JSON" in err and "Traceback" not in err
 
+    def test_plda_model_with_non_positive_basis_eigenvalue_exits_2(
+        self, workdir, tmp_path, capsys
+    ):
+        # B_prec passes Cholesky, but its eigenvalues relative to W = I round
+        # to below zero (condition number 1e18); exact scoring would be wrong.
+        doc = json.loads((workdir / "plda.json").read_text())
+        d = len(doc["plda"]["mu"])
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        B = np.eye(d)
+        B[:3, :3] = Q @ np.diag([1e16, 1e-2, 1.0]) @ Q.T
+        doc["plda"]["B_prec"] = (0.5 * (B + B.T)).tolist()
+        doc["plda"]["W"] = np.eye(d).tolist()
+        assert self.score_model_doc(workdir, tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "diagonal-basis eigenvalue" in err and "Traceback" not in err
+
     def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "plda.json").read_text())
         doc["enroll"][1]["language"] = doc["enroll"][0]["language"]

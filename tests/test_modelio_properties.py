@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from langrec.backend import GenerativeBackend
 from langrec.hier import HierBackend
-from langrec.modelio import load_model, save_model
+from langrec.modelio import load_model, model_from_doc, model_to_doc, save_model
 from langrec.plda import EnrollmentStats
 from langrec.preproc import AffinePreproc
 
@@ -40,7 +40,6 @@ def plda_backends(draw):
         enroll=EnrollmentStats(
             counts=counts,
             sums=counts[:, None] * rng.standard_normal((n_det, d)),
-            sq_terms=rng.random(n_det) * counts,
         ),
     )
     return backend, rng.standard_normal((draw(st.integers(1, 6)), in_dim))
@@ -64,7 +63,7 @@ def arrays(backend) -> dict:
         return {
             "A": backend.preproc.A, "b": backend.preproc.b, "mu": m.mu,
             "B_prec": m.B_prec, "W": m.W, "psi": m.psi, "T": m.T,
-            "counts": e.counts, "sums": e.sums, "sq_terms": e.sq_terms,
+            "counts": e.counts, "sums": e.sums,
             "tables.T": t.T, "tables.G1": t.G1, "tables.G2": t.G2, "tables.const": t.const,
         }
     if isinstance(backend, HierBackend):
@@ -110,6 +109,21 @@ def check_round_trip(backend, X):
 @given(plda_backends())
 def test_plda_round_trip_is_bit_identical(problem):
     check_round_trip(*problem)
+
+
+@SETTINGS
+@given(plda_backends())
+def test_plda_version_1_document_scores_bit_identically(problem):
+    """A format_version "1" plda document, which also stores each language's
+    sq_term, loads and scores exactly like the current document."""
+    backend, X = problem
+    doc = model_to_doc(backend)
+    doc["format_version"] = "1"
+    rng = np.random.default_rng(len(X))
+    for entry in doc["enroll"]:
+        entry["sq_term"] = float(rng.random() * entry["n"])
+    loaded = model_from_doc(doc)
+    assert bits(loaded.score_matrix(X)) == bits(backend.score_matrix(X))
 
 
 @SETTINGS

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
@@ -15,8 +18,101 @@ from langrec.plda import (
     pair_score_matrix,
     set_log_marginal,
     to_pair_params,
-    weighted_log_likelihood,
 )
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def class_stats(X, labels, weights):
+    classes = sorted(set(labels))
+    labels = np.array(labels, dtype=object)
+    masks = [labels == cls for cls in classes]
+    n_l = np.array([weights[m].sum() for m in masks])
+    f_l = np.vstack([weights[m] @ X[m] for m in masks])
+    return masks, n_l, f_l
+
+
+def chol_inverse(M):
+    inv = scipy.linalg.cho_solve((np.linalg.cholesky(M), True), np.eye(M.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def chol_logdet(M):
+    return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(M)))))
+
+
+def weighted_log_likelihood(model, X, labels, weights=None):
+    """Reference for em_train's objective: the weighted marginal
+    log-likelihood summed class by class, with one Cholesky per class."""
+    n, d = X.shape
+    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    weights = weights * (n / weights.sum())
+    masks, n_l, f_l = class_stats(X, labels, weights)
+    B, W, mu = model.B_prec, model.W, model.mu
+    Bmu = B @ mu
+    xWx = np.einsum("ij,jk,ik->i", X, W, X)
+    ll = 0.0
+    for mask, n_j, f_j in zip(masks, n_l, f_l):
+        Lam = B + n_j * W
+        gamma = Bmu + W @ f_j
+        ll += 0.5 * (
+            -n_j * d * np.log(2.0 * np.pi)
+            + n_j * chol_logdet(W)
+            + chol_logdet(B)
+            - chol_logdet(Lam)
+            - float(mu @ Bmu)
+            - float(weights[mask] @ xWx[mask])
+            + float(gamma @ np.linalg.solve(Lam, gamma))
+        )
+    return ll
+
+
+def reference_em(X, labels, weights, n_iters):
+    """em_train's EM as a per-class loop: the moment initialisation from
+    em_train itself, then n_iters iterations with a Cholesky solve per class."""
+    model = em_train(X, labels, weights, n_iters=0)
+    n = X.shape[0]
+    weights = weights * (n / weights.sum())
+    masks, n_l, f_l = class_stats(X, labels, weights)
+    J, d = len(masks), X.shape[1]
+    S_tot = (weights[:, None] * X).T @ X
+    mu, B, W = model.mu, model.B_prec, model.W
+    for _ in range(n_iters):
+        y_hat = np.empty((J, d))
+        y_cov = np.empty((J, d, d))
+        for j in range(J):
+            y_cov[j] = chol_inverse(B + n_l[j] * W)
+            y_hat[j] = y_cov[j] @ (B @ mu + W @ f_l[j])
+        mu = y_hat.mean(axis=0)
+        Dy = y_hat - mu
+        B_cov = (y_cov.sum(axis=0) + Dy.T @ Dy) / J
+        W_cov = S_tot.copy()
+        for j in range(J):
+            cross = np.outer(f_l[j], y_hat[j])
+            W_cov += -cross - cross.T + n_l[j] * (np.outer(y_hat[j], y_hat[j]) + y_cov[j])
+        B, W = chol_inverse(B_cov), chol_inverse(W_cov / weights.sum())
+    return PldaModel(mu=mu, B_prec=B, W=W)
+
+
+def reference_pair_params(model):
+    """to_pair_params through Cholesky inverses of B + W and B + 2W."""
+    B, W, mu = model.B_prec, model.W, model.mu
+    Q1_inv, Q2_inv = chol_inverse(B + W), chol_inverse(B + 2.0 * W)
+    Bmu = B @ mu
+    k = (
+        -0.5 * chol_logdet(B)
+        - 0.5 * chol_logdet(B + 2.0 * W)
+        + chol_logdet(B + W)
+        + 0.5 * float(mu @ Bmu)
+        + 0.5 * float(Bmu @ Q2_inv @ Bmu)
+        - float(Bmu @ Q1_inv @ Bmu)
+    )
+    return PairScoreParams(
+        Lambda=0.5 * W @ Q2_inv @ W,
+        Gamma=0.5 * W @ (Q2_inv - Q1_inv) @ W,
+        c=W @ (Q2_inv - Q1_inv) @ Bmu,
+        k=k,
+    )
 
 
 def integration_log_marginal_1d(mu, b_prec, w_prec, xs):
@@ -38,6 +134,19 @@ def random_model(rng, d):
     C = rng.standard_normal((d, d))
     W = C @ C.T / d + 0.4 * np.eye(d)
     return PldaModel(mu=rng.standard_normal(d), B_prec=B, W=W)
+
+
+class TestPldaModel:
+    def test_non_positive_basis_eigenvalue_rejected(self):
+        # B_prec passes Cholesky, but with condition number 1e18 its
+        # diagonal-basis eigenvalues relative to W round to below zero.
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        B = Q @ np.diag([1e16, 1e-2, 1.0]) @ Q.T
+        B = 0.5 * (B + B.T)
+        np.linalg.cholesky(B)
+        with pytest.raises(ValueError, match="diagonal-basis eigenvalue"):
+            PldaModel(mu=np.zeros(3), B_prec=B, W=np.eye(3))
 
 
 class TestSetLogMarginal:
@@ -131,7 +240,7 @@ class TestExactLlr:
         m = random_model(rng, 4)
         groups = [rng.standard_normal((int(rng.integers(1, 5)), 4)) for _ in range(3)]
         X = rng.standard_normal((6, 4))
-        stats = enrollment_stats(m, groups)
+        stats = enrollment_stats(groups)
         mat = exact_llr_matrix(m, stats, X)
         for i in range(6):
             for j, g in enumerate(groups):
@@ -176,6 +285,16 @@ class TestPairParams:
         p = to_pair_params(m)
         a, b = rng.standard_normal(4), rng.standard_normal(4)
         assert abs(pair_score(p, a, b) - pair_score(p, b, a)) < 1e-12
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_cholesky_reference(self, d, seed):
+        m = random_model(np.random.default_rng(seed), d)
+        got, want = to_pair_params(m), reference_pair_params(m)
+        scale = max(np.abs(want.Lambda).max(), np.abs(want.Gamma).max(),
+                    np.abs(want.c).max(), abs(want.k))
+        for name in ("Lambda", "Gamma", "c", "k"):
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12 * scale, name
 
     def test_pair_score_matrix_matches_scalar(self):
         rng = np.random.default_rng(14)
@@ -275,6 +394,34 @@ class TestEmTrain:
         w = rng.uniform(0.5, 1.5, size=len(labels))
         model, trace = em_train(X, labels, w, n_iters=7, tol=0.0, return_trace=True)
         assert abs(trace[-1] - weighted_log_likelihood(model, X, labels, w)) < 1e-8
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_per_class_reference(self, d, extra_classes, n_iters, seed):
+        # Non-degenerate problems only: at least d + 1 classes, so that no
+        # covariance needs a ridge.
+        rng = np.random.default_rng(seed)
+        X, labels = self._sample(rng, d + 1 + extra_classes, 6, d, between=2.0)
+        w = rng.uniform(0.2, 2.0, size=len(labels))
+        got, trace = em_train(X, labels, w, n_iters=n_iters, tol=0.0, return_trace=True)
+        for it, ll in enumerate(trace, start=1):
+            want = reference_em(X, labels, w, it)
+            want_ll = weighted_log_likelihood(want, X, labels, w)
+            assert abs(ll - want_ll) <= 1e-10 * abs(want_ll), it
+        for name in ("mu", "B_prec", "W"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+    def test_two_classes_in_two_dims_fit_without_decrease(self):
+        # No more classes than dimensions: the between-class covariance is
+        # rank-deficient, and whether it is ridge-repaired must not depend on
+        # the sign of roundoff (Cholesky failed on it only sometimes).
+        rng = np.random.default_rng(25)
+        X = np.vstack([rng.standard_normal((4, 2)) + rng.standard_normal(2) for _ in range(2)])
+        model, trace = em_train(X, ["a"] * 4 + ["b"] * 4, n_iters=50, tol=0.0, return_trace=True)
+        trace = np.array(trace)
+        assert np.all(model.psi > 0.0)
+        assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[:-1])))
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 2))

@@ -49,7 +49,7 @@ def scoring_problems(draw):
 @given(scoring_problems())
 def test_every_cell_matches_scalar_oracle(problem):
     model, groups, X = problem
-    got = exact_llr_matrix(model, enrollment_stats(model, groups), X)
+    got = exact_llr_matrix(model, enrollment_stats(groups), X)
     want = np.array([[exact_llr(model, g, x) for g in groups] for x in X])
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
@@ -58,7 +58,7 @@ def test_every_cell_matches_scalar_oracle(problem):
 @given(scoring_problems())
 def test_single_row_equals_its_batched_row(problem):
     model, groups, X = problem
-    stats = enrollment_stats(model, groups)
+    stats = enrollment_stats(groups)
     batch = exact_llr_matrix(model, stats, X)
     for i in range(len(X)):
         row = exact_llr_matrix(model, stats, X[i : i + 1])[0]
@@ -70,12 +70,10 @@ def test_single_row_equals_its_batched_row(problem):
 @given(scoring_problems(), st.randoms(use_true_random=False))
 def test_permuting_detectors_permutes_columns(problem, random):
     model, groups, X = problem
-    stats = enrollment_stats(model, groups)
+    stats = enrollment_stats(groups)
     perm = list(range(len(groups)))
     random.shuffle(perm)
-    permuted = EnrollmentStats(
-        counts=stats.counts[perm], sums=stats.sums[perm], sq_terms=stats.sq_terms[perm]
-    )
+    permuted = EnrollmentStats(counts=stats.counts[perm], sums=stats.sums[perm])
     full = exact_llr_matrix(model, stats, X)
     got = exact_llr_matrix(model, permuted, X)
     assert np.abs(got - full[:, perm]).max() <= 1e-12 * max(1.0, np.abs(full).max())
