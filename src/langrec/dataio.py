@@ -71,15 +71,6 @@ class EmbeddingSet:
             and bool(np.all(self.vectors == other.vectors))
         )
 
-    def subset(self, indices) -> "EmbeddingSet":
-        indices = np.asarray(indices, dtype=np.intp)
-        return EmbeddingSet(
-            [self.sample_ids[i] for i in indices],
-            [self.languages[i] for i in indices],
-            [self.datasets[i] for i in indices],
-            self.vectors[indices],
-        )
-
     def language_inventory(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.languages)))
 
@@ -115,10 +106,8 @@ class TrialSet:
         return len(self) - self.n_target
 
 
-def load_embeddings(path, format: str = "tsv") -> EmbeddingSet:
+def load_embeddings(path) -> EmbeddingSet:
     """Read an EMB-TSV file. Raises ParseError naming the offending line."""
-    if format != "tsv":
-        raise ValueError(f"unsupported format: {format!r}")
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()

@@ -54,22 +54,25 @@ def combine_llr(L_c: float, L_lc: float, P_c: float, P_lc: float) -> float:
 class HierCombineInfo:
     """Fixed combination tables of a hierarchical backend (not trained).
 
-    The first five fields align with the stage-2 detectors: the stage-1
-    column of each language's cluster, that cluster's prior odds, the
-    language's prior odds within it (inf for a singleton cluster), the
-    singleton flag and the language's slot (its position among its
-    cluster's members). pad_cols (C, m), with m the largest cluster size and
-    rows in stage-1 detector order, holds the stage-2 columns of each
-    cluster's members, padded with column 0:
-    pad_cols[lang_cluster_idx[j], lang_slot[j]] == j.
+    lang_cluster_idx (L,) holds the stage-1 column of each language's
+    cluster. A language alone in its cluster has p(l|c) = 1: its score is its
+    cluster score and it has no stage 2. The other languages, cond (K,) in
+    detector order, are the conditional columns; P_c and P_lc (K,) hold
+    their cluster's prior odds and their prior odds within it. Stage 2 runs
+    only on the blocks, the clusters of two or more languages: blocks (B,)
+    holds their stage-1 columns and pad_cols (B, m), with m the largest
+    block size, the stage-2 columns of each block's members, padded with
+    column 0. pad_pos (K,) is each conditional column's position in that
+    layout flattened: pad_cols.ravel()[pad_pos] == cond.
     """
 
     lang_cluster_idx: np.ndarray
+    cond: np.ndarray
     P_c: np.ndarray
     P_lc: np.ndarray
-    singleton: np.ndarray
-    lang_slot: np.ndarray
+    blocks: np.ndarray
     pad_cols: np.ndarray
+    pad_pos: np.ndarray
 
     @classmethod
     def from_backend(cls, backend: "HierBackend") -> "HierCombineInfo":
@@ -104,25 +107,25 @@ class HierBackend:
         if self.stage2.preproc.in_dim != self.stage1.preproc.in_dim:
             raise ValueError("stages disagree on raw input dimension")
         cluster_pos = {name: i for i, name in enumerate(clusters)}
-        idx, slot, pc, plc, single = [], [], [], [], []
-        for lang in self.stage2.detector_labels:
-            cname = cmap.assignment[lang]
-            idx.append(cluster_pos[cname])
-            slot.append(cmap.cluster_languages[cname].index(lang))
-            pc.append(prior_odds(cmap.p_c[cname]))
-            p = cmap.p_l_given_c[lang]
-            single.append(p == 1.0)
-            plc.append(math.inf if p == 1.0 else prior_odds(p))
-        idx, slot = np.array(idx, dtype=np.intp), np.array(slot, dtype=np.intp)
-        pad_cols = np.zeros((len(clusters), np.bincount(idx).max()), dtype=np.intp)
-        pad_cols[idx, slot] = np.arange(idx.size)
+        labels = self.stage2.detector_labels
+        idx = np.array([cluster_pos[cmap.assignment[l]] for l in labels], dtype=np.intp)
+        cond = np.array(
+            [j for j, l in enumerate(labels) if cmap.p_l_given_c[l] < 1.0], dtype=np.intp
+        )
+        blocks, block = np.unique(idx[cond], return_inverse=True)
+        slot = np.array(
+            [np.count_nonzero(block[:k] == b) for k, b in enumerate(block)], dtype=np.intp
+        )
+        pad_cols = np.zeros((blocks.size, slot.max(initial=-1) + 1), dtype=np.intp)
+        pad_cols[block, slot] = cond
         self.combine = HierCombineInfo(
             lang_cluster_idx=idx,
-            P_c=np.array(pc, dtype=np.float64),
-            P_lc=np.array(plc, dtype=np.float64),
-            singleton=np.array(single, dtype=bool),
-            lang_slot=slot,
+            cond=cond,
+            P_c=np.array([prior_odds(cmap.p_c[cmap.assignment[labels[j]]]) for j in cond]),
+            P_lc=np.array([prior_odds(cmap.p_l_given_c[labels[j]]) for j in cond]),
+            blocks=blocks,
             pad_cols=pad_cols,
+            pad_pos=block * pad_cols.shape[1] + slot,
         )
 
     @property
@@ -134,56 +137,59 @@ class HierBackend:
         return len(self.stage2.detector_labels)
 
     def stage_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cluster scores (N, C), cluster-conditional language scores (N, L))."""
+        """(cluster scores (N, C), conditional scores (N, K) of the columns combine.cond)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         L_c = self.stage1.score_matrix(X)
-        pre2 = self.stage2.preproc
-        U2 = length_normalize(shifted_projection(pre2.A, pre2.b, self.shifts, X))
-        return L_c, stage2_scores(self.stage2.params, self.stage2.detectors, U2, self.combine)
+        pre2, info = self.stage2.preproc, self.combine
+        U2 = length_normalize(shifted_projection(pre2.A, pre2.b, self.shifts, X, info.blocks))
+        return L_c, stage2_scores(self.stage2.params, self.stage2.detectors, U2, info)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         L_c, L_lc = self.stage_scores(X)
         return combine_matrix(L_c, L_lc, self.combine)[0]
 
 
-def shifted_projection(A, b, shifts, X) -> np.ndarray:
-    """Affine outputs A (x - s_c) + b of every row of X under every shift: (C, N, d).
+def shifted_projection(A, b, shifts, X, blocks) -> np.ndarray:
+    """Affine outputs A (x - s_c) + b of every row of X under the shifts of the
+    clusters `blocks`: (B, N, d).
 
     Evaluated as (A x + b) - A s_c, so the batch is projected once and each
-    cluster subtracts one projected shift.
+    block subtracts one projected shift. All shifts are projected before the
+    blocks are picked, so a block's result does not depend on how many
+    clusters are blocks.
     """
-    return (X @ A.T + b)[None, :, :] - (shifts @ A.T)[:, None, :]
+    return (X @ A.T + b)[None, :, :] - (shifts @ A.T)[blocks][:, None, :]
 
 
 def stage2_scores(params, detectors, U2, info: HierCombineInfo) -> np.ndarray:
-    """Cluster-conditional scores (N, L): every language scores the
-    length-normalised stage-2 rows U2[c] of its own cluster c (U2 is (C, N, d)).
+    """Conditional scores (N, K) of the columns info.cond: each language
+    scores the length-normalised stage-2 rows U2[b] of its own block b (U2 is
+    (B, N, d)).
 
-    All clusters are scored in one pair_score_matrix pass against their
-    padded detectors, (C, N, m); each language's column is then gathered
-    from its cluster and slot.
+    All blocks are scored in one pair_score_matrix pass against their padded
+    detectors, (B, N, m); each conditional column is then gathered from its
+    position in that layout.
     """
     S = pair_score_matrix(params, detectors[info.pad_cols], U2)
-    return np.ascontiguousarray(S[info.lang_cluster_idx, :, info.lang_slot].T)
+    B, N, m = S.shape
+    return S.transpose(1, 0, 2).reshape(N, B * m).take(info.pad_pos, axis=1)
 
 
 def combine_matrix(L_c, L_lc, info: HierCombineInfo):
-    """Log-domain combination of (N, C) cluster and (N, L) conditional scores.
+    """Log-domain combination of (N, C) cluster and (N, K) conditional scores.
 
     Returns (scores (N, L), a_c - lse, a_lc - lse), where a_c and a_lc are
-    the log posterior-odds terms and lse = log(e^a_c + e^a_lc + 1); the
-    backward pass needs the last two. Every column is computed with
-    log P_lc = 0 on singletons, whose scores are then L_c exactly.
+    the log posterior-odds terms of the conditional columns and
+    lse = log(e^a_c + e^a_lc + 1); the backward pass needs the last two. A
+    language alone in its cluster scores its cluster score L_c exactly.
     """
-    single = info.singleton
-    Lc_per_lang = L_c[:, info.lang_cluster_idx]
-    P_lc = np.where(single, 0.0, info.P_lc)
-    a_c = Lc_per_lang + np.log(info.P_c)[None, :]
-    a_lc = L_lc + np.where(single, 0.0, np.log(info.P_lc))[None, :]
+    S = L_c.take(info.lang_cluster_idx, axis=1)
+    Lc_cond = S.take(info.cond, axis=1)
+    a_c = Lc_cond + np.log(info.P_c)[None, :]
+    a_lc = L_lc + np.log(info.P_lc)[None, :]
     m = np.maximum(np.maximum(a_c, a_lc), 0.0)
     lse = m + np.log(np.exp(a_c - m) + np.exp(a_lc - m) + np.exp(-m))
-    S = Lc_per_lang + L_lc + np.log(info.P_c + P_lc + 1.0)[None, :] - lse
-    S[:, single] = Lc_per_lang[:, single]
+    S[:, info.cond] = Lc_cond + L_lc + np.log(info.P_c + info.P_lc + 1.0)[None, :] - lse
     return S, a_c - lse, a_lc - lse
 
 

@@ -28,6 +28,7 @@ from .hier import (
     shifted_projection,
     stage2_scores,
 )
+from .metrics import actual_dcf
 from .plda import PairScoreParams, pair_score_matrix
 from .preproc import AffinePreproc, LENGTH_NORM_EPS
 
@@ -291,17 +292,18 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """Loss and gradients for a hierarchical backend given its parameter dict.
 
     The forward pass is the scorer's: hier.shifted_projection projects X once
-    for every cluster shift, hier.stage2_scores scores the languages of every
-    cluster in one pass and hier.combine_matrix combines the two stages. The
-    backward pass folds the shifts the same way as the projection: with r_c = g_Zc' 1,
-    g_A = (sum_c g_Zc)' X - sum_c r_c s_c', g_b = sum_c r_c and g_s_c = -r_c A.
+    for every block's shift, hier.stage2_scores scores the conditional
+    columns of every block in one pass and hier.combine_matrix combines the
+    two stages. The backward pass folds the shifts the same way as the
+    projection: with r_b = g_Zb' 1, g_A = (sum_b g_Zb)' X - sum_b r_b s_b',
+    g_b = sum_b r_b and g_s_b = -r_b A. Only the conditional columns carry a
+    stage-2 gradient; every other column passes its gradient to its cluster.
     """
-    singleton = info.singleton
     shifts, A2 = params["shifts"], params["stage2.A"]
 
     S1, U1, norms1 = _flat_forward(params, "stage1.", X)
 
-    U2, norms2 = _unit_rows(shifted_projection(A2, params["stage2.b"], shifts, X))
+    U2, norms2 = _unit_rows(shifted_projection(A2, params["stage2.b"], shifts, X, info.blocks))
     pair2 = _pair_params(params, "stage2.")
     dets2 = params["stage2.detectors"]
     S, t_c, t_lc = combine_matrix(S1, stage2_scores(pair2, dets2, U2, info), info)
@@ -310,12 +312,16 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     loss = (1.0 - alpha) * loss_lan
     G_lan *= 1.0 - alpha
 
-    d_c = 1.0 - np.exp(t_c)
-    d_lc = 1.0 - np.exp(t_lc)
-    d_c[:, singleton] = 1.0
-    d_lc[:, singleton] = 0.0
-    G2 = G_lan * d_lc
-    G1 = _padded(G_lan * d_c, info).sum(axis=2).T
+    B, N, d2 = U2.shape
+    m = info.pad_cols.shape[1]
+    G2 = np.zeros((N, B * m))
+    G2[:, info.pad_pos] = G_lan.take(info.cond, axis=1) * (1.0 - np.exp(t_lc))
+    # Each score's derivative by its cluster score is 1 - e^t_c on the
+    # conditional columns and 1 on the others. A cluster sums its languages'
+    # gradients; formed cluster-major, so that the stage-1 backward sums each
+    # cluster's gradient over contiguous memory.
+    G_lan[:, info.cond] *= 1.0 - np.exp(t_c)
+    G1 = (np.eye(len(shifts))[:, info.lang_cluster_idx] @ G_lan.T).T
 
     if alpha > 0.0:
         loss_clu, G_clu = _bce_loss_grad(S1, info.lang_cluster_idx[label_idx], pi)
@@ -324,38 +330,34 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
 
     grads = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
 
-    # Stage 2 backpropagates through the padded (C, N, m) layout of
+    # Stage 2 backpropagates through the padded (B, N, m) layout of
     # stage2_scores; the padded slots carry zero score gradient.
-    C, N, d2 = U2.shape
     g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
-        pair2, dets2[info.pad_cols], U2, _padded(G2, info)
+        pair2, dets2[info.pad_cols], U2, G2.reshape(N, B, m).transpose(1, 0, 2)
     )
     g_Z2 = _lengthnorm_backward(
         _stacked_rows(g_U), _stacked_rows(U2), norms2.ravel()
-    ).reshape(C, N, d2)
-    r = g_Z2.sum(axis=1)  # (C, d2)
+    ).reshape(B, N, d2)
+    r = g_Z2.sum(axis=1)  # (B, d2)
+    g_dets2 = np.zeros_like(dets2)
+    g_dets2[info.cond] = g_det.reshape(B * m, d2)[info.pad_pos]
+    g_shifts = np.zeros_like(shifts)
+    g_shifts[info.blocks] = -r @ A2
     grads.update(
         {
-            "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts,
+            "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts[info.blocks],
             "stage2.b": r.sum(axis=0),
             "stage2.Lambda": g_Lambda,
             "stage2.Gamma": g_Gamma,
             "stage2.c": g_c,
             "stage2.k": g_k,
-            "stage2.detectors": g_det[info.lang_cluster_idx, info.lang_slot],
-            "shifts": -r @ A2,
+            "stage2.detectors": g_dets2,
+            "shifts": g_shifts,
         }
     )
 
     _check_finite(loss, grads)
     return loss, grads
-
-
-def _padded(M, info: HierCombineInfo):
-    """(N, L) per-language values in the padded (C, N, m) cluster layout, zero in padded slots."""
-    out = np.zeros((len(info.pad_cols), len(M), info.pad_cols.shape[1]))
-    np.moveaxis(out, 1, 0)[:, info.lang_cluster_idx, info.lang_slot] = M
-    return out
 
 
 def _check_finite(loss, grads):
@@ -483,7 +485,6 @@ def _dev_evaluator(backend, dev_sets: list[tuple[EmbeddingSet, TrialSet]], confi
     ]
 
     if config.select_metric == "dcf":
-        from .metrics import actual_dcf
 
         def metric(flat_scores, ts):
             return actual_dcf(flat_scores, ts.is_target)[2]

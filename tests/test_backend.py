@@ -327,17 +327,16 @@ class TestInitHier:
 
     def test_prior_odds_round_trip(self):
         rng = np.random.default_rng(16)
-        train, cmap, _ = self._clustered_data(rng)
+        train, _, _ = self._clustered_data(rng)
+        cmap = cluster_priors({"a0": ("a0", "a1"), "b0": ("b0", "b1", "c0"), "c1": ("c1",)})
         backend = init_hier(train, cmap, None, 2, 3)
-        for j, lang in enumerate(backend.stage2.detector_labels):
-            cname = cmap.assignment[lang]
-            p_c = cmap.p_c[cname]
-            p_lc = cmap.p_l_given_c[lang]
-            assert abs(backend.combine.P_c[j] - p_c / (1 - p_c)) < 1e-12
-            if p_lc < 1.0:
-                assert abs(backend.combine.P_lc[j] - p_lc / (1 - p_lc)) < 1e-12
-            else:
-                assert np.isinf(backend.combine.P_lc[j])
+        info, labels = backend.combine, backend.stage2.detector_labels
+        assert [labels[j] for j in info.cond] == [l for l in labels if l != "c1"]
+        for k, j in enumerate(info.cond):
+            p_c = cmap.p_c[cmap.assignment[labels[j]]]
+            p_lc = cmap.p_l_given_c[labels[j]]
+            assert abs(info.P_c[k] - p_c / (1 - p_c)) < 1e-12
+            assert abs(info.P_lc[k] - p_lc / (1 - p_lc)) < 1e-12
 
     def test_zero_stage_scores_give_zero_output(self):
         # Uniform two-cluster/two-language map with all stage scores zero.
@@ -345,6 +344,6 @@ class TestInitHier:
         P = np.array([prior_odds(0.5), prior_odds(0.5)])
         from langrec.hier import HierCombineInfo, combine_matrix
 
-        info = HierCombineInfo(idx, P, P, np.zeros(2, dtype=bool), 0 * idx, idx[:, None])
+        info = HierCombineInfo(idx, idx, P, P, idx, idx[:, None], idx)
         out, _, _ = combine_matrix(np.zeros((3, 2)), np.zeros((3, 2)), info)
         assert np.allclose(out, 0.0, atol=1e-14)

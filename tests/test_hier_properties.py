@@ -118,10 +118,11 @@ def test_problems_cover_gaps_and_padding():
     def look(problem):
         nonlocal seen_gap, seen_pad
         info = problem[0].combine
-        seen_pad |= bool(np.any(np.bincount(info.lang_cluster_idx) < info.pad_cols.shape[1]))
+        sizes = np.bincount(info.lang_cluster_idx)[info.blocks]
+        seen_pad |= bool(np.any(sizes < info.pad_cols.shape[1]))
         seen_gap |= any(
             np.any(np.diff(np.flatnonzero(info.lang_cluster_idx == c)) > 1)
-            for c in range(len(info.pad_cols))
+            for c in info.blocks
         )
 
     look()
@@ -131,13 +132,40 @@ def test_problems_cover_gaps_and_padding():
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(hier_problems())
 def test_pad_tables_index_each_language_once(problem):
+    """The languages of clusters of two or more are the conditional columns;
+    each sits once in the padded layout, in its own cluster's block."""
     info = problem[0].combine
-    L = len(info.lang_cluster_idx)
-    assert np.array_equal(info.pad_cols[info.lang_cluster_idx, info.lang_slot], np.arange(L))
-    for c, row in enumerate(info.pad_cols):
-        cols = np.flatnonzero(info.lang_cluster_idx == c)
-        assert sorted(info.lang_slot[cols]) == list(range(len(cols)))
-        assert np.array_equal(row[len(cols) :], np.zeros(len(row) - len(cols)))
+    sizes = np.bincount(info.lang_cluster_idx)
+    assert np.array_equal(info.blocks, np.flatnonzero(sizes > 1))
+    assert np.array_equal(info.cond, np.flatnonzero(sizes[info.lang_cluster_idx] > 1))
+    assert np.array_equal(info.pad_cols.ravel()[info.pad_pos], info.cond)
+    block, slot = np.divmod(info.pad_pos, info.pad_cols.shape[1])
+    assert np.array_equal(info.blocks[block], info.lang_cluster_idx[info.cond])
+    for b, row in enumerate(info.pad_cols):
+        n = sizes[info.blocks[b]]
+        assert sorted(slot[block == b]) == list(range(n))
+        assert np.array_equal(row[n:], np.zeros(len(row) - n))
+
+
+def test_all_singleton_map_scores_stage1_and_has_no_stage2():
+    """With every cluster a singleton there are no blocks: the scores are the
+    stage-1 scores bit for bit, and no stage-2 or shift parameter gets a
+    gradient."""
+    rng = np.random.default_rng(0)
+    cmap = cluster_priors({l: (l,) for l in ("a", "b", "c")})
+    backend = HierBackend(
+        stage1=random_stage(rng, cmap.cluster_names, 6, 2),
+        stage2=random_stage(rng, cmap.languages, 6, 3),
+        shifts=rng.standard_normal((3, 6)),
+        cluster_map=cmap,
+    )
+    X = rng.standard_normal((7, 6))
+    assert backend.score_matrix(X).tobytes() == backend.stage1.score_matrix(X).tobytes()
+    y = rng.integers(0, 3, size=7)
+    _, grads = hier_loss_grads(get_params(backend), backend.combine, X, y, pi=0.1, alpha=0.3)
+    for key, g in grads.items():
+        if key.startswith("stage2.") or key == "shifts":
+            assert not np.any(g), key
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 
 from langrec.backend import FlatBackend, init_from_generative
 from langrec.clustering import cluster_priors
-from langrec.dataio import EmbeddingSet, generate_trials
+from langrec.dataio import EmbeddingSet, generate_trials, trial_index
 from langrec.hier import HierBackend
+from langrec.metrics import actual_dcf
 from langrec.plda import PairScoreParams
 from langrec.preproc import AffinePreproc
 from langrec.training import (
@@ -21,6 +24,7 @@ from langrec.training import (
     hier_loss_grads,
     multi_seed_train,
     sample_batch,
+    set_params,
     train,
     trial_bce,
 )
@@ -288,6 +292,24 @@ class TestGradientsHier:
         loss, _ = hier_loss_grads(params, info, X, y, pi=0.1, alpha=0.0)
         assert loss == pytest.approx(bce_loss(S, y, 0.1), rel=1e-12)
 
+    def test_row_at_singleton_shift_scores_and_trains(self):
+        # With stage2.b = 0 a row equal to the singleton cluster's shift has a
+        # zero stage-2 input there. That language has no stage 2, so the row
+        # still scores its cluster score and still trains.
+        rng = np.random.default_rng(10)
+        backend = build_hier_backend(rng, singleton=True)
+        A2 = backend.stage2.preproc.A
+        backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+        ci = backend.stage1.detector_labels.index("b0")
+        X = np.vstack([backend.shifts[ci], rng.standard_normal((3, 8))])
+        S = backend.score_matrix(X)
+        assert np.all(np.isfinite(S))
+        j = backend.detector_labels.index("b0")
+        assert np.array_equal(S[:, j], backend.stage1.score_matrix(X)[:, ci])
+        y = np.array([j, 0, 1, j])
+        loss, _ = hier_loss_grads(get_params(backend), backend.combine, X, y, 0.1, 0.3)
+        assert np.isfinite(loss)
+
     def test_alpha_on_flat_backend_rejected(self):
         rng = np.random.default_rng(9)
         train_set = synthetic_set(rng, separated_means(rng, 3, 6), n_per=15)
@@ -374,9 +396,9 @@ class TestSampleBatch:
         assert np.array_equal(a, b)
 
 
-def small_training_problem(seed=0, n_lang=4, dim=6):
+def small_training_problem(seed=0, n_lang=4, dim=6, spread=4.0):
     rng = np.random.default_rng(seed)
-    means = separated_means(rng, n_lang, dim, spread=4.0)
+    means = separated_means(rng, n_lang, dim, spread=spread)
     train_set = synthetic_set(rng, means, n_per=30, sigma=0.5, prefix="tr")
     dev_set = synthetic_set(rng, means, n_per=10, sigma=0.5, prefix="dev")
     backend = init_from_generative(train_set, None, out_dim=n_lang - 1)
@@ -408,6 +430,23 @@ class TestTrainLoop:
             result = train(backend, train_set, [(dev_set, trials)], self.CFG, seed=3)
             logs.append(format_training_log(result.log))
         assert logs[0] == logs[1]
+
+    def test_dcf_selection_restores_lowest_actual_dcf(self):
+        # Overlapping languages, so the dev DCF moves between checkpoints.
+        train_set, dev_set, trials, backend = small_training_problem(spread=1.0)
+        cfg = dataclasses.replace(self.CFG, select_metric="dcf")
+        result = train(backend, train_set, [(dev_set, trials)], cfg, seed=0)
+        rows, cols = trial_index(dev_set, trials, backend.detector_labels)
+        scorer = copy.deepcopy(result.backend)
+        dev_scores = []
+        for cp in result.log:
+            set_params(scorer, cp.params)
+            dev_scores.append(scorer.score_matrix(dev_set.vectors))
+            assert cp.dev_losses == (actual_dcf(dev_scores[-1][rows, cols], trials.is_target)[2],)
+        best = min(result.log, key=lambda c: (c.avg_dev, c.index))
+        assert best.avg_dev < result.log[0].avg_dev
+        assert result.best_index == best.index
+        assert np.array_equal(result.backend.score_matrix(dev_set.vectors), dev_scores[best.index])
 
     def test_loss_halves_on_separable_data(self):
         # Separable languages with a strong dataset shift: the single-Gaussian
@@ -452,8 +491,6 @@ class TestTrainLoop:
         params["Lambda"] = np.zeros_like(params["Lambda"])
         params["Gamma"] = 1e200 * np.eye(params["Gamma"].shape[0])
         params["detectors"] = 1e100 * np.ones_like(params["detectors"])
-        from langrec.training import set_params
-
         set_params(backend, params)
         with caplog.at_level("WARNING"):
             result = train(backend, train_set, [(dev_set, trials)], self.CFG, seed=0)
