@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import EmbeddingSet
+from .dataio import EmbeddingSet, group_rows
 from .plda import (
     EnrollmentStats,
     ExactLlrTables,
@@ -88,6 +88,8 @@ class GenerativeBackend:
                 f"enrollment statistics must be counts ({L},) and sums ({L}, {d}) "
                 f"for {L} detectors of dimension {d}"
             )
+        if not (np.all(np.isfinite(counts)) and np.all(np.isfinite(sums))):
+            raise ValueError("enrollment counts and sums must be finite")
         if not np.all(np.asarray(counts) >= 1):
             raise ValueError("every enrollment count must be at least 1")
         self.tables = exact_llr_tables(self.model, self.enroll)
@@ -108,11 +110,16 @@ def fit_generative(
     em_iters: int = 50,
 ) -> tuple[AffinePreproc, PldaModel, list[str]]:
     """LDA preprocessing plus EM-trained PLDA on the preprocessed embeddings."""
+    return _fit_generative(train, weights, out_dim, class_labels, em_iters)[:3]
+
+
+def _fit_generative(train, weights, out_dim, class_labels, em_iters):
+    """fit_generative's result plus the preprocessed training set, projected once."""
     labels = list(class_labels) if class_labels is not None else list(train.languages)
     preproc = fit_lda(train.vectors, labels, weights, out_dim)
     U = preproc.transform(train.vectors)
     model = em_train(U, labels, weights, n_iters=em_iters)
-    return preproc, model, labels
+    return preproc, model, labels, U
 
 
 def fit_generative_backend(
@@ -122,16 +129,13 @@ def fit_generative_backend(
     em_iters: int = 50,
 ) -> GenerativeBackend:
     """Weighted LDA + EM PLDA with unweighted per-language enrollment sets."""
-    preproc, model, labels = fit_generative(train, weights, out_dim, None, em_iters)
-    U = preproc.transform(train.vectors)
-    labels_arr = np.array(labels, dtype=object)
-    detector_labels = tuple(sorted(set(labels)))
-    groups = [U[labels_arr == lab] for lab in detector_labels]
+    preproc, model, labels, U = _fit_generative(train, weights, out_dim, None, em_iters)
+    detector_labels, rows = group_rows(labels)
     return GenerativeBackend(
         preproc=preproc,
         model=model,
         detector_labels=detector_labels,
-        enroll=enrollment_stats(groups),
+        enroll=enrollment_stats([U[r] for r in rows]),
     )
 
 
@@ -149,14 +153,11 @@ def init_from_generative(
     normalized) training vectors of its class, so at initialization the
     backend reproduces the generative mean-enrollment scores exactly.
     """
-    preproc, model, labels = fit_generative(train, weights, out_dim, class_labels, em_iters)
-    U = preproc.transform(train.vectors)
-    labels_arr = np.array(labels, dtype=object)
-    detector_labels = tuple(sorted(set(labels)))
-    detectors = np.vstack([U[labels_arr == lab].mean(axis=0) for lab in detector_labels])
+    preproc, model, labels, U = _fit_generative(train, weights, out_dim, class_labels, em_iters)
+    detector_labels, rows = group_rows(labels)
     return FlatBackend(
         preproc=preproc,
         params=to_pair_params(model),
         detector_labels=detector_labels,
-        detectors=detectors,
+        detectors=np.vstack([U[r].mean(axis=0) for r in rows]),
     )

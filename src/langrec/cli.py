@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -98,7 +99,7 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-_TRAIN_EXTRAS = ("out_dim", "out_dim1", "out_dim2", "em_iters", "train_seed")
+_TRAIN_EXTRAS = ("out_dim", "out_dim1", "out_dim2", "em_iters")
 
 
 def cmd_train(args) -> int:
@@ -194,6 +195,8 @@ def _read_scores(path):
                 score = float(parts[2])
             except ValueError:
                 raise ParseError(f"{path}: non-numeric score at line {lineno}") from None
+            if not math.isfinite(score):
+                raise ParseError(f"{path}: non-finite score at line {lineno}")
             if (parts[0], parts[1]) in seen:
                 raise ParseError(
                     f"{path}: duplicate score for sample {parts[0]!r} and detector "

@@ -74,9 +74,6 @@ class EmbeddingSet:
     def language_inventory(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.languages)))
 
-    def dataset_inventory(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.datasets)))
-
 
 @dataclass(frozen=True)
 class TrialSet:
@@ -96,14 +93,6 @@ class TrialSet:
 
     def __len__(self) -> int:
         return len(self.sample_ids)
-
-    @property
-    def n_target(self) -> int:
-        return int(self.is_target.sum())
-
-    @property
-    def n_nontarget(self) -> int:
-        return len(self) - self.n_target
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -219,9 +208,7 @@ def trial_index(
 
 
 def per_language_means(
-    embeddings: EmbeddingSet,
-    weights: np.ndarray | None = None,
-    languages: Sequence[str] | None = None,
+    embeddings: EmbeddingSet, weights: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
     """Weighted arithmetic mean vector per language (uniform if no weights)."""
     if weights is None:
@@ -229,29 +216,22 @@ def per_language_means(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(embeddings),):
         raise ValueError("weights must have one entry per record")
-    if languages is None:
-        languages = embeddings.language_inventory()
-    lang_arr = np.array(embeddings.languages, dtype=object)
     means = {}
-    for lang in languages:
-        mask = lang_arr == lang
-        if not mask.any():
-            raise ValueError(f"no samples for language {lang!r}")
-        w = weights[mask]
+    for lang, rows in zip(*group_rows(embeddings.languages)):
+        w = weights[rows]
         total = w.sum()
         if total <= 0:
             raise ValueError(f"zero total weight for language {lang!r}")
-        means[lang] = (w[:, None] * embeddings.vectors[mask]).sum(axis=0) / total
+        means[lang] = (w[:, None] * embeddings.vectors[rows]).sum(axis=0) / total
     return means
 
 
 def balance_weights(embeddings: EmbeddingSet) -> np.ndarray:
     """Per-record weight 1 / count(language, dataset), unnormalized."""
-    counts: dict[tuple[str, str], int] = {}
-    keys = list(zip(embeddings.languages, embeddings.datasets))
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return np.array([1.0 / counts[key] for key in keys], dtype=np.float64)
+    weights = np.empty(len(embeddings))
+    for rows in group_indices(embeddings).values():
+        weights[rows] = 1.0 / len(rows)
+    return weights
 
 
 def group_indices(embeddings: EmbeddingSet) -> dict[tuple[str, str], np.ndarray]:
@@ -260,3 +240,29 @@ def group_indices(embeddings: EmbeddingSet) -> dict[tuple[str, str], np.ndarray]
     for i in range(len(embeddings)):
         groups.setdefault((embeddings.languages[i], embeddings.datasets[i]), []).append(i)
     return {key: np.array(groups[key], dtype=np.intp) for key in sorted(groups)}
+
+
+def group_rows(labels) -> tuple[tuple, list[np.ndarray]]:
+    """The distinct labels, sorted as the objects they are (integers as
+    integers), and the ascending positions of the rows that carry each."""
+    labels = np.array(list(labels), dtype=object)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    rows = np.split(order, cuts) if order.size else []
+    return tuple(labels[r[0]] for r in rows), rows
+
+
+def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray):
+    """Weighted counts n (C,), sums f (C, d) and within-class scatter (d, d)
+    of the classes `rows`, summed one class at a time: unlike one product over
+    all rows, that keeps the scatter independent of the BLAS thread count."""
+    if sum(r.size for r in rows) != len(X):
+        raise ValueError("labels must have one entry per row")
+    counts = np.array([weights[r].sum() for r in rows])
+    sums = np.vstack([weights[r] @ X[r] for r in rows])
+    scatter = np.zeros((X.shape[1], X.shape[1]))
+    for r, mean in zip(rows, sums / counts[:, None]):
+        D = X[r] - mean
+        scatter += (weights[r][:, None] * D).T @ D
+    return counts, sums, scatter

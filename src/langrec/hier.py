@@ -104,6 +104,8 @@ class HierBackend:
             raise ValueError("stage2 detectors disagree with the cluster map languages")
         if self.shifts.shape != (len(clusters), self.stage1.preproc.in_dim):
             raise ValueError("shift matrix must be (#clusters, raw dim)")
+        if not np.all(np.isfinite(self.shifts)):
+            raise ValueError("shift vectors must be finite")
         if self.stage2.preproc.in_dim != self.stage1.preproc.in_dim:
             raise ValueError("stages disagree on raw input dimension")
         cluster_pos = {name: i for i, name in enumerate(clusters)}
@@ -239,10 +241,9 @@ def init_hier(
         train, weights, out_dim1, class_labels=sample_clusters, em_iters=em_iters
     )
 
-    name_pos = {name: i for i, name in enumerate(cluster_names)}
-    shift_rows = np.vstack([shifts[name_pos[c]] for c in sample_clusters])
+    cluster_idx = np.searchsorted(cluster_names, sample_clusters)
     shifted = EmbeddingSet(
-        train.sample_ids, train.languages, train.datasets, train.vectors - shift_rows
+        train.sample_ids, train.languages, train.datasets, train.vectors - shifts[cluster_idx]
     )
     stage2 = init_from_generative(shifted, weights, out_dim2, em_iters=em_iters)
 

@@ -51,10 +51,6 @@ class MetricReport:
             "ci_high": self.ci_high,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricReport":
-        return cls(**doc)
-
 
 def bayes_threshold(p_target: float, c_miss: float = 1.0, c_fa: float = 1.0) -> float:
     """Decision threshold minimizing expected cost for calibrated LLRs."""

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dataio import class_stats, group_rows
+
 logger = logging.getLogger(__name__)
 
 _SYM_TOL = 1e-10
@@ -85,6 +87,8 @@ class PldaModel:
         W = _check_symmetric(self.W, "W")
         if mu.ndim != 1 or B.shape != (mu.size, mu.size) or W.shape != B.shape:
             raise ValueError("mu, B_prec, W dimensions disagree")
+        if not all(np.all(np.isfinite(a)) for a in (mu, B, W)):
+            raise ValueError("mu, B_prec and W must be finite")
         np.linalg.cholesky(W)
         psi, V = scipy.linalg.eigh(B, W)
         if not psi[0] > 0.0:
@@ -137,15 +141,6 @@ class PairScoreParams:
         return self.c.size
 
 
-def _class_stats(X, labels, weights):
-    labels = np.array(list(labels), dtype=object)
-    classes = sorted(set(labels))
-    masks = [labels == cls for cls in classes]
-    n_l = np.array([weights[m].sum() for m in masks])
-    f_l = np.vstack([weights[m] @ X[m] for m in masks])
-    return classes, masks, n_l, f_l
-
-
 def em_train(
     X: np.ndarray,
     labels,
@@ -173,19 +168,16 @@ def em_train(
         raise ValueError("weights must be positive, one per record")
     weights = weights * (n / weights.sum())
 
-    classes, masks, n_l, f_l = _class_stats(X, labels, weights)
+    classes, rows = group_rows(labels)
+    n_l, f_l, W_cov = class_stats(X, rows, weights)
     if len(classes) < 2:
         raise ValueError("EM needs at least 2 classes")
     total, J = weights.sum(), len(classes)
 
     # Moment initialization.
     mu = weights @ X / total
-    class_means = f_l / n_l[:, None]
-    W_cov = np.zeros((d, d))
-    for mask, mean_c in zip(masks, class_means):
-        D = X[mask] - mean_c
-        W_cov += (weights[mask][:, None] * D).T @ D
     W_cov /= total
+    class_means = f_l / n_l[:, None]
     mbar = class_means.mean(axis=0)
     Dm = class_means - mbar
     B_cov = Dm.T @ Dm / J
@@ -367,13 +359,6 @@ def apply_llr_tables(tables: ExactLlrTables, X: np.ndarray) -> np.ndarray:
     """Exact LLRs of every test row against every detector: two matrix products, (N, L)."""
     Xt = np.atleast_2d(np.asarray(X, dtype=np.float64)) @ tables.T
     return Xt @ tables.G1.T + (Xt * Xt) @ tables.G2.T + tables.const
-
-
-def exact_llr_matrix(
-    model: PldaModel, stats: EnrollmentStats, X: np.ndarray
-) -> np.ndarray:
-    """Exact LLRs of every test row against every enrollment group: (N, L)."""
-    return apply_llr_tables(exact_llr_tables(model, stats), X)
 
 
 def to_pair_params(model: PldaModel) -> PairScoreParams:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dataio import class_stats, group_rows
+
 logger = logging.getLogger(__name__)
 
 LENGTH_NORM_EPS = 1e-10
@@ -92,8 +94,7 @@ def fit_lda(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,) or np.any(weights <= 0):
         raise ValueError("weights must be positive, one per record")
-    labels = np.array(list(labels), dtype=object)
-    classes = sorted(set(labels))
+    classes, rows = group_rows(labels)
     if out_dim > len(classes) - 1:
         raise ValueError(
             f"out_dim {out_dim} exceeds LDA rank bound #classes-1 = {len(classes) - 1}"
@@ -103,21 +104,14 @@ def fit_lda(
 
     total_w = weights.sum()
     global_mean = weights @ X / total_w
-    S_w = np.zeros((in_dim, in_dim))
+    counts, sums, S_w = class_stats(X, rows, weights)
+    S_w /= total_w
     S_b = np.zeros((in_dim, in_dim))
-    for cls in classes:
-        mask = labels == cls
-        if mask.sum() < 2:
+    for cls, r, n_c, mean_c in zip(classes, rows, counts, sums / counts[:, None]):
+        if r.size < 2:
             raise ValueError(f"class {cls!r} has fewer than 2 samples")
-        w = weights[mask]
-        Xc = X[mask]
-        n_c = w.sum()
-        mean_c = w @ Xc / n_c
-        D = Xc - mean_c
-        S_w += (w[:, None] * D).T @ D
         dm = mean_c - global_mean
         S_b += n_c * np.outer(dm, dm)
-    S_w /= total_w
     S_b /= total_w
 
     cond = np.linalg.cond(S_w)

@@ -26,7 +26,7 @@ from .dataio import (
 )
 from .hier import init_hier
 from .metrics import bootstrap_ci, evaluate, subset_trials
-from .training import TrainConfig, multi_seed_train, trial_bce
+from .training import TrainConfig, dev_evaluator, multi_seed_train
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +143,7 @@ def tune_cluster_threshold(
     candidates.append(dists[-1] + 1.0)
 
     L = len(langs)
+    evaluate_dev = dev_evaluator(langs, dev_sets, pi)
     best = None
     for threshold in candidates:
         cmap = cut_merges(langs, merges, threshold)
@@ -156,12 +157,7 @@ def tune_cluster_threshold(
             # 1-D stage collapses to +-1 under length normalization).
             logger.info("skipping threshold %.4g: %s", threshold, exc)
             continue
-        losses = []
-        for es, ts in dev_sets:
-            S = backend.score_matrix(es.vectors)
-            rows, cols = trial_index(es, ts, backend.detector_labels)
-            losses.append(trial_bce(S[rows, cols], ts.is_target, pi))
-        loss = float(np.mean(losses))
+        loss = float(np.mean(evaluate_dev(backend)))
         if best is None or loss < best[0]:
             best = (loss, threshold, cmap)
     if best is None:

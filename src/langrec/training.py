@@ -479,27 +479,36 @@ def _copy_params(params):
     return {k: p.copy() for k, p in params.items()}
 
 
-def _dev_evaluator(backend, dev_sets: list[tuple[EmbeddingSet, TrialSet]], config):
+def dev_evaluator(
+    detector_labels,
+    dev_sets: list[tuple[EmbeddingSet, TrialSet]],
+    pi: float,
+    select_metric: str = "loss",
+):
+    """evaluate(backend) -> one dev loss per dev set: the trial BCE at prior
+    pi, or the actual DCF when select_metric is "dcf".
+
+    The trial indices into each dev set's score matrix are built once, for
+    backends whose detectors are detector_labels in that order.
+    """
+    detector_labels = tuple(detector_labels)
     prepared = [
-        (es, ts, *trial_index(es, ts, backend.detector_labels)) for es, ts in dev_sets
+        (es.vectors, ts.is_target, *trial_index(es, ts, detector_labels))
+        for es, ts in dev_sets
     ]
 
-    if config.select_metric == "dcf":
+    def metric(scores, is_target):
+        if select_metric == "dcf":
+            return actual_dcf(scores, is_target)[2]
+        return trial_bce(scores, is_target, pi)
 
-        def metric(flat_scores, ts):
-            return actual_dcf(flat_scores, ts.is_target)[2]
-
-    else:
-
-        def metric(flat_scores, ts):
-            return trial_bce(flat_scores, ts.is_target, config.pi)
-
-    def evaluate():
-        losses = []
-        for es, ts, rows, cols in prepared:
-            S = backend.score_matrix(es.vectors)
-            losses.append(metric(S[rows, cols], ts))
-        return tuple(losses)
+    def evaluate(backend):
+        if backend.detector_labels != detector_labels:
+            raise ValueError("backend detectors disagree with the dev trial index")
+        return tuple(
+            metric(backend.score_matrix(X)[rows, cols], is_target)
+            for X, is_target, rows, cols in prepared
+        )
 
     return evaluate
 
@@ -525,7 +534,9 @@ def train(
         raise ValueError(f"training languages without a detector: {missing}")
     label_idx_all = np.array([det_pos[l] for l in train_set.languages], dtype=np.intp)
     groups = list(group_indices(train_set).values())
-    evaluate_dev = _dev_evaluator(backend, dev_sets, config)
+    evaluate_dev = dev_evaluator(
+        backend.detector_labels, dev_sets, config.pi, config.select_metric
+    )
 
     is_hier = isinstance(backend, HierBackend)
     info = backend.combine if is_hier else None
@@ -544,7 +555,7 @@ def train(
                 batches_seen=batches_seen,
                 lr=lr,
                 train_loss=train_loss,
-                dev_losses=evaluate_dev(),
+                dev_losses=evaluate_dev(backend),
                 params=_copy_params(params),
             )
         )

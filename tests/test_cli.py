@@ -220,6 +220,19 @@ class TestTrainCommand:
         got, _ = load_model(out)
         assert np.abs(got.score_matrix(test_set.vectors) - ref.score_matrix(test_set.vectors)).max() < 1e-10
 
+    def test_train_seed_is_an_unknown_key(self, workdir, tmp_path, capsys):
+        data = workdir / "data"
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "train_seed": 3}))
+        code = main(
+            [
+                "train", "--kind", "dplda", str(data / "train.tsv"),
+                str(data / "dev.tsv"), str(cfg), str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 2
+        assert "unknown key 'train_seed'" in capsys.readouterr().err
+
     def test_hdplda_without_clusters_exits_2(self, workdir, tmp_path):
         data = workdir / "data"
         cfg = workdir / "train.json"
@@ -319,6 +332,30 @@ class TestScoreCommand:
         assert self.score_model_doc(workdir, tmp_path, doc) == 2
         err = capsys.readouterr().err
         assert "diagonal-basis eigenvalue" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, path, value, message",
+        [
+            ("plda", ("enroll", 1, "sum", 0), float("nan"),
+             "enrollment counts and sums must be finite"),
+            ("plda", ("plda", "mu", 2), float("inf"), "mu, B_prec and W must be finite"),
+            ("hdplda", ("shifts", "c0_l0", 0), float("nan"), "shift vectors must be finite"),
+        ],
+        ids=["plda-enroll-nan", "plda-mu-inf", "hdplda-shift-nan"],
+    )
+    def test_non_finite_model_number_exits_2(
+        self, workdir, tmp_path, capsys, kind, path, value, message
+    ):
+        # JSON readers accept NaN and Infinity; such a model would score nan.
+        doc = json.loads((workdir / f"{kind}.json").read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        assert self.score_model_doc(workdir, tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "plda.json").read_text())
@@ -430,3 +467,14 @@ class TestEvalCommand:
         code = main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(tmp_path / "x.json")])
         assert code == 1
         assert f"sample {sid!r} has no score for detector {det!r}" in capsys.readouterr().err
+
+    def test_non_finite_score_exits_1_naming_line(self, workdir, scores_file, tmp_path, capsys):
+        lines = scores_file.read_text().splitlines()
+        for i in range(2, len(lines), 3):
+            sid, det, _ = lines[i].split("\t")
+            lines[i] = f"{sid}\t{det}\tnan"
+        bad = tmp_path / "nan.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(tmp_path / "x.json")])
+        assert code == 1
+        assert "non-finite score at line 3" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from langrec.dataio import (
     EmbeddingSet,
     ParseError,
     balance_weights,
     generate_trials,
+    group_rows,
     load_embeddings,
     per_language_means,
     save_embeddings,
@@ -105,17 +108,17 @@ class TestGenerateTrials:
         )
         ts = generate_trials(es, ["a", "b"])
         assert len(ts) == 6
-        assert ts.n_target == 3
+        assert ts.is_target.sum() == 3
 
     def test_out_of_set_only_nontargets(self):
         es = make_set([("1", "c", "d", [0.0])])
         ts = generate_trials(es, ["a", "b"])
-        assert len(ts) == 2 and ts.n_target == 0
+        assert len(ts) == 2 and ts.is_target.sum() == 0
 
     def test_single_detector_single_target(self):
         es = make_set([("1", "a", "d", [0.0])])
         ts = generate_trials(es, ["a"])
-        assert len(ts) == 1 and ts.n_target == 1
+        assert len(ts) == 1 and ts.is_target.sum() == 1
 
     def test_trial_count_identity_random(self):
         rng = np.random.default_rng(3)
@@ -128,7 +131,7 @@ class TestGenerateTrials:
             dets = [f"l{i}" for i in range(3)]
             ts = generate_trials(es, dets)
             assert len(ts) == n * len(dets)
-            assert ts.n_target == sum(1 for l in langs if l in dets)
+            assert ts.is_target.sum() == sum(1 for l in langs if l in dets)
 
 
 class TestTrialIndex:
@@ -175,10 +178,22 @@ class TestPerLanguageMeans:
         means = per_language_means(es, weights=np.array([1.0, 3.0]))
         assert np.allclose(means["a"], [1.5, 0.0])
 
-    def test_missing_language(self):
-        es = make_set([("1", "a", "d", [0.0])])
-        with pytest.raises(ValueError, match="no samples"):
-            per_language_means(es, languages=["b"])
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.text(alphabet="abAB19", max_size=3), max_size=40),
+        st.lists(st.integers(-20, 20), max_size=40),
+    )
+)
+def test_group_rows_partitions_rows_by_sorted_label(labels):
+    classes, rows = group_rows(labels)
+    assert classes == tuple(sorted(set(labels)))
+    assert len(rows) == len(classes)
+    assert sorted(i for r in rows for i in r.tolist()) == list(range(len(labels)))
+    for cls, r in zip(classes, rows):
+        assert np.all(np.diff(r) > 0)
+        assert all(labels[i] == cls for i in r)
 
 
 class TestBalanceWeights:

@@ -201,7 +201,7 @@ class TestEvaluate:
         assert rep.min_dcf_norm <= rep.actual_dcf_norm
         assert 0.0 <= rep.eer <= 1.0
         doc = rep.to_dict()
-        assert MetricReport.from_dict(doc) == rep
+        assert MetricReport(**doc) == rep
         assert set(doc) == {
             "pmiss", "pfa", "actual_dcf_norm", "min_dcf_norm", "eer",
             "n_target", "n_nontarget", "ci_low", "ci_high",
@@ -225,7 +225,7 @@ class TestSubsetTrials:
         langs = dict(zip(es.sample_ids, es.languages))
         sub, mask = subset_trials(trials, langs, cmap, "a")
         assert len(sub) == 4
-        assert sub.n_target == 2
+        assert sub.is_target.sum() == 2
         assert set(sub.detector_languages) == {"a", "b"}
         assert mask.sum() == 4
 

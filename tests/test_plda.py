@@ -9,11 +9,12 @@ from scipy.stats import multivariate_normal
 from langrec.plda import (
     PairScoreParams,
     PldaModel,
+    apply_llr_tables,
     approx_llr,
     em_train,
     enrollment_stats,
     exact_llr,
-    exact_llr_matrix,
+    exact_llr_tables,
     pair_score,
     pair_score_matrix,
     set_log_marginal,
@@ -241,7 +242,7 @@ class TestExactLlr:
         groups = [rng.standard_normal((int(rng.integers(1, 5)), 4)) for _ in range(3)]
         X = rng.standard_normal((6, 4))
         stats = enrollment_stats(groups)
-        mat = exact_llr_matrix(m, stats, X)
+        mat = apply_llr_tables(exact_llr_tables(m, stats), X)
         for i in range(6):
             for j, g in enumerate(groups):
                 assert abs(mat[i, j] - exact_llr(m, g, X[i])) < 1e-9

@@ -4,19 +4,31 @@ Random models have dimension 1-6, a between-class precision with condition
 number at most 1e4 and enrollment sets of 1-5 vectors. The scalar oracle
 exact_llr is the reference; at much worse conditioning (about 1e8) the
 oracle itself loses accuracy, so that regime is not tested here.
-GenerativeBackend's precomputed tables must score exactly like
-exact_llr_matrix.
+GenerativeBackend's precomputed tables must score exactly like tables
+built afresh from its model and enrollment statistics.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langrec.plda import EnrollmentStats, PldaModel, enrollment_stats, exact_llr, exact_llr_matrix
+from langrec.plda import (
+    EnrollmentStats,
+    PldaModel,
+    apply_llr_tables,
+    enrollment_stats,
+    exact_llr,
+    exact_llr_tables,
+)
 
 from test_modelio_properties import plda_backends
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def llr_matrix(model, stats, X):
+    """Exact LLRs of every row of X against every enrollment group: (N, L)."""
+    return apply_llr_tables(exact_llr_tables(model, stats), X)
 
 
 def spd(rng, d, log10_cond):
@@ -49,7 +61,7 @@ def scoring_problems(draw):
 @given(scoring_problems())
 def test_every_cell_matches_scalar_oracle(problem):
     model, groups, X = problem
-    got = exact_llr_matrix(model, enrollment_stats(groups), X)
+    got = llr_matrix(model, enrollment_stats(groups), X)
     want = np.array([[exact_llr(model, g, x) for g in groups] for x in X])
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
@@ -59,9 +71,9 @@ def test_every_cell_matches_scalar_oracle(problem):
 def test_single_row_equals_its_batched_row(problem):
     model, groups, X = problem
     stats = enrollment_stats(groups)
-    batch = exact_llr_matrix(model, stats, X)
+    batch = llr_matrix(model, stats, X)
     for i in range(len(X)):
-        row = exact_llr_matrix(model, stats, X[i : i + 1])[0]
+        row = llr_matrix(model, stats, X[i : i + 1])[0]
         scale = max(1.0, np.abs(batch[i]).max())
         assert np.abs(row - batch[i]).max() <= 1e-12 * scale
 
@@ -74,17 +86,17 @@ def test_permuting_detectors_permutes_columns(problem, random):
     perm = list(range(len(groups)))
     random.shuffle(perm)
     permuted = EnrollmentStats(counts=stats.counts[perm], sums=stats.sums[perm])
-    full = exact_llr_matrix(model, stats, X)
-    got = exact_llr_matrix(model, permuted, X)
+    full = llr_matrix(model, stats, X)
+    got = llr_matrix(model, permuted, X)
     assert np.abs(got - full[:, perm]).max() <= 1e-12 * max(1.0, np.abs(full).max())
 
 
 @SETTINGS
 @given(plda_backends())
-def test_backend_scores_bit_identical_to_exact_llr_matrix(problem):
+def test_backend_scores_bit_identical_to_fresh_tables(problem):
     """GenerativeBackend builds its detector tables once; scoring a batch or a
-    single row with them gives exact_llr_matrix's result bit for bit."""
+    single row with them gives the result of freshly built tables bit for bit."""
     backend, X = problem
     for rows in [X] + [X[i : i + 1] for i in range(len(X))]:
-        want = exact_llr_matrix(backend.model, backend.enroll, backend.preproc.transform(rows))
+        want = llr_matrix(backend.model, backend.enroll, backend.preproc.transform(rows))
         assert backend.score_matrix(rows).tobytes() == want.tobytes()
