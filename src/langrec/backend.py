@@ -105,11 +105,14 @@ class GenerativeBackend:
 def fit_generative(
     train: EmbeddingSet,
     weights: np.ndarray | None,
-    out_dim: int,
+    out_dim: int | None = None,
     class_labels=None,
     em_iters: int = 50,
 ) -> tuple[AffinePreproc, PldaModel, list[str]]:
-    """LDA preprocessing plus EM-trained PLDA on the preprocessed embeddings."""
+    """LDA preprocessing plus EM-trained PLDA on the preprocessed embeddings.
+
+    out_dim is the LDA dimension; fit_lda's default is #classes - 1.
+    """
     return _fit_generative(train, weights, out_dim, class_labels, em_iters)[:3]
 
 
@@ -125,10 +128,11 @@ def _fit_generative(train, weights, out_dim, class_labels, em_iters):
 def fit_generative_backend(
     train: EmbeddingSet,
     weights: np.ndarray | None,
-    out_dim: int,
+    out_dim: int | None = None,
     em_iters: int = 50,
 ) -> GenerativeBackend:
-    """Weighted LDA + EM PLDA with unweighted per-language enrollment sets."""
+    """Weighted LDA + EM PLDA with unweighted per-language enrollment sets;
+    out_dim as in fit_generative."""
     preproc, model, labels, U = _fit_generative(train, weights, out_dim, None, em_iters)
     detector_labels, rows = group_rows(labels)
     return GenerativeBackend(
@@ -142,7 +146,7 @@ def fit_generative_backend(
 def init_from_generative(
     train: EmbeddingSet,
     weights: np.ndarray | None,
-    out_dim: int,
+    out_dim: int | None = None,
     class_labels=None,
     em_iters: int = 50,
 ) -> FlatBackend:
@@ -152,6 +156,7 @@ def init_from_generative(
     detector vector is the mean of the fully preprocessed (length-
     normalized) training vectors of its class, so at initialization the
     backend reproduces the generative mean-enrollment scores exactly.
+    out_dim is as in fit_generative.
     """
     preproc, model, labels, U = _fit_generative(train, weights, out_dim, class_labels, em_iters)
     detector_labels, rows = group_rows(labels)

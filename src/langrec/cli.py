@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .dataio import (
 )
 from .hier import init_hier
 from .synth import SynthConfig, generate
-from .training import TrainConfig, format_training_log, multi_seed_train
+from .training import TrainConfig, check_count, format_training_log, multi_seed_train
 
 PROG = "langrec"
 
@@ -43,11 +43,14 @@ class ConfigError(ValueError):
 
 def _load_json(path, what: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {what} file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} file {path} must hold one JSON object")
+    return doc
 
 
 def _config_from_doc(cls, doc: dict, what: str):
@@ -83,6 +86,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ConfigError(f"--threshold must be finite, got {args.threshold}")
     backend, meta = modelio.load_model(args.model)
     if meta["kind"] != "plda":
         raise ConfigError("clustering needs a model of kind 'plda'")
@@ -104,17 +109,22 @@ _TRAIN_EXTRAS = ("out_dim", "out_dim1", "out_dim2", "em_iters")
 
 def cmd_train(args) -> int:
     doc = _load_json(args.config, "train")
-    extras = {key: doc.pop(key) for key in list(doc) if key in _TRAIN_EXTRAS}
-    config = _config_from_doc(TrainConfig, doc, "train")
-    em_iters = int(extras.get("em_iters", 50))
+    config = _config_from_doc(
+        TrainConfig, {k: v for k, v in doc.items() if k not in _TRAIN_EXTRAS}, "train"
+    )
+    extras = {key: doc[key] for key in _TRAIN_EXTRAS if key in doc}
+    for key, value in extras.items():
+        try:
+            check_count(key, value, 0 if key == "em_iters" else 1)
+        except ValueError as exc:
+            raise ConfigError(f"invalid train config: {exc}") from None
+    out_dim, em_iters = extras.get("out_dim"), extras.get("em_iters", 50)
 
     train_set = load_embeddings(args.train)
     weights = balance_weights(train_set)
-    L = len(train_set.language_inventory())
     log_path = Path(args.log) if args.log else Path(args.out).with_suffix(".log.tsv")
 
     if args.kind == "plda":
-        out_dim = int(extras.get("out_dim", L - 1))
         backend = fit_generative_backend(train_set, weights, out_dim, em_iters=em_iters)
         modelio.save_model(args.out, backend, train_config=None, seed=None)
         log_path.write_text(format_training_log([]), encoding="utf-8")
@@ -127,8 +137,6 @@ def cmd_train(args) -> int:
     dev_sets = [(dev_set, dev_trials)]
 
     if args.kind == "dplda":
-        out_dim = int(extras.get("out_dim", L - 1))
-
         def make_backend():
             return init_from_generative(train_set, weights, out_dim, em_iters=em_iters)
 
@@ -138,9 +146,7 @@ def cmd_train(args) -> int:
         cmap = clustering.cluster_map_from_json(
             Path(args.clusters).read_text(encoding="utf-8")
         )
-        C = cmap.n_clusters()
-        out_dim1 = int(extras.get("out_dim1", C - 1))
-        out_dim2 = int(extras.get("out_dim2", L - C))
+        out_dim1, out_dim2 = extras.get("out_dim1"), extras.get("out_dim2")
 
         def make_backend():
             return init_hier(train_set, cmap, weights, out_dim1, out_dim2, em_iters=em_iters)
@@ -149,12 +155,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"unknown model kind {args.kind!r}")
 
     result = multi_seed_train(make_backend, train_set, dev_sets, config)
-    modelio.save_model(
-        args.out,
-        result.backend,
-        train_config=_load_json(args.config, "train"),
-        seed=result.seed,
-    )
+    modelio.save_model(args.out, result.backend, train_config=doc, seed=result.seed)
     log_path.write_text(format_training_log(result.log), encoding="utf-8")
     print(
         f"trained {args.kind} backend (seed {result.seed}, dev {result.best_avg_dev:.6g}); "
@@ -177,7 +178,7 @@ def cmd_score(args) -> int:
 
 
 def _read_scores(path):
-    """Per-line sample ids, detectors and scores, and the distinct detectors in file order.
+    """Per-line sample ids, detectors and scores.
 
     Every sample must have exactly one score for every detector in the file.
     """
@@ -213,18 +214,26 @@ def _read_scores(path):
         lacking = [d for d in detectors if (sid, d) not in seen]
         if lacking:
             raise ParseError(f"{path}: sample {sid!r} has no score for detector {lacking[0]!r}")
-    return ids, dets, np.array(scores), detectors
+    return ids, dets, np.array(scores)
 
 
 def cmd_eval(args) -> int:
-    ids, dets, scores, detectors = _read_scores(args.scores)
+    try:
+        metrics.bayes_threshold(args.p_target, args.c_miss, args.c_fa)
+    except ValueError as exc:
+        raise ConfigError(f"invalid cost options: {exc}") from None
+    if args.bootstrap < 0:
+        raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    ids, dets, scores = _read_scores(args.scores)
     test = load_embeddings(args.test)
     lang_of = dict(zip(test.sample_ids, test.languages))
     missing = sorted({sid for sid in ids if sid not in lang_of})
     if missing:
         raise ParseError(f"score file references unknown sample_id {missing[0]!r}")
     is_target = np.array([lang_of[s] == d for s, d in zip(ids, dets)], dtype=bool)
-    trials = TrialSet(tuple(ids), tuple(dets), is_target, detectors)
+    trials = TrialSet(tuple(ids), tuple(dets), is_target)
 
     if args.subset:
         if not args.cluster:
@@ -253,7 +262,7 @@ def cmd_eval(args) -> int:
             c_miss=args.c_miss,
             c_fa=args.c_fa,
         )
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(asdict(report), indent=2, sort_keys=True)
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
@@ -315,10 +324,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"{PROG}: config error: {exc}", file=sys.stderr)
-        return 2
-    except modelio.ModelFormatError as exc:
+    except (ConfigError, modelio.ModelFormatError) as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
     except (ParseError, ValueError, OSError) as exc:

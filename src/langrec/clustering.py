@@ -12,7 +12,7 @@ is fully deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,32 +31,49 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class ClusterMap:
-    """Partition of languages into named clusters with detection priors.
+    """Partition of languages into named clusters, and the detection priors
+    it implies.
 
-    p_c is cluster size over total languages; p_l_given_c is uniform within
-    the cluster.
+    cluster_languages maps each cluster name to its languages; any mapping
+    of sequences is accepted and stored as a dict of tuples, names and
+    members sorted. Derived from it: assignment (language -> cluster), the
+    cluster prior p_c = cluster size / #languages and the uniform
+    within-cluster prior p_l_given_c = 1 / cluster size. A cluster must be
+    non-empty and a language may appear only once.
     """
 
-    assignment: dict[str, str]
     cluster_languages: dict[str, tuple[str, ...]]
-    p_c: dict[str, float]
-    p_l_given_c: dict[str, float]
     threshold: float | None = None
+    assignment: dict[str, str] = field(init=False)
+    p_c: dict[str, float] = field(init=False)
+    p_l_given_c: dict[str, float] = field(init=False)
 
     def __post_init__(self):
-        langs = sorted(self.assignment)
-        covered = sorted(l for langs_c in self.cluster_languages.values() for l in langs_c)
-        if langs != covered:
-            raise ValueError("cluster_languages must partition the assigned languages")
-        for name, members in self.cluster_languages.items():
+        clusters = {
+            name: tuple(sorted(self.cluster_languages[name]))
+            for name in sorted(self.cluster_languages)
+        }
+        if not clusters:
+            raise ValueError("empty partition")
+        assignment = {}
+        for name, members in clusters.items():
+            if not members:
+                raise ValueError(f"cluster {name!r} is empty")
             for lang in members:
-                if self.assignment[lang] != name:
-                    raise ValueError(f"assignment of {lang!r} disagrees with cluster {name!r}")
-        if abs(sum(self.p_c.values()) - 1.0) > 1e-12:
-            raise ValueError("cluster priors must sum to 1")
-        for name, members in self.cluster_languages.items():
-            if abs(sum(self.p_l_given_c[l] for l in members) - 1.0) > 1e-12:
-                raise ValueError(f"conditional priors in cluster {name!r} must sum to 1")
+                if lang in assignment:
+                    raise ValueError(
+                        f"language {lang!r} appears in cluster {assignment[lang]!r} "
+                        f"and again in {name!r}"
+                    )
+                assignment[lang] = name
+        object.__setattr__(self, "cluster_languages", clusters)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(
+            self, "p_c", {name: len(m) / len(assignment) for name, m in clusters.items()}
+        )
+        object.__setattr__(
+            self, "p_l_given_c", {l: 1.0 / len(clusters[c]) for l, c in assignment.items()}
+        )
 
     @property
     def languages(self) -> tuple[str, ...]:
@@ -64,37 +81,13 @@ class ClusterMap:
 
     @property
     def cluster_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.cluster_languages))
+        return tuple(self.cluster_languages)
 
     def n_clusters(self) -> int:
         return len(self.cluster_languages)
 
 
-def cluster_priors(
-    cluster_languages: Mapping[str, Sequence[str]], threshold: float | None = None
-) -> ClusterMap:
-    """Build a ClusterMap with priors from a {name: languages} partition."""
-    total = sum(len(m) for m in cluster_languages.values())
-    if total == 0:
-        raise ValueError("empty partition")
-    assignment = {}
-    clusters = {}
-    p_c = {}
-    p_lc = {}
-    for name in sorted(cluster_languages):
-        members = tuple(sorted(cluster_languages[name]))
-        clusters[name] = members
-        p_c[name] = len(members) / total
-        for lang in members:
-            assignment[lang] = name
-            p_lc[lang] = 1.0 / len(members)
-    return ClusterMap(
-        assignment=assignment,
-        cluster_languages=clusters,
-        p_c=p_c,
-        p_l_given_c=p_lc,
-        threshold=threshold,
-    )
+cluster_priors = ClusterMap
 
 
 def plda_distance_matrix(
@@ -188,7 +181,7 @@ def cut_merges(labels: Sequence[str], merges: Sequence[MergeStep], threshold: fl
     groups: dict[str, list[str]] = {}
     for lab in labels:
         groups.setdefault(find(lab), []).append(lab)
-    return cluster_priors({name: tuple(sorted(m)) for name, m in groups.items()}, threshold)
+    return ClusterMap(groups, threshold)
 
 
 def merges_to_tsv(merges: Sequence[MergeStep]) -> str:
@@ -210,7 +203,4 @@ def cluster_map_from_json(text: str) -> ClusterMap:
     doc = json.loads(text)
     if "clusters" not in doc:
         raise ValueError("cluster map JSON lacks 'clusters'")
-    return cluster_priors(
-        {name: tuple(langs) for name, langs in doc["clusters"].items()},
-        doc.get("threshold"),
-    )
+    return ClusterMap(doc["clusters"], doc.get("threshold"))

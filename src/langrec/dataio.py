@@ -82,7 +82,6 @@ class TrialSet:
     sample_ids: tuple[str, ...]
     detector_languages: tuple[str, ...]
     is_target: np.ndarray
-    detectors: tuple[str, ...]
 
     def __post_init__(self):
         tgt = np.asarray(self.is_target, dtype=bool)
@@ -182,7 +181,7 @@ def generate_trials(embeddings: EmbeddingSet, detectors: Sequence[str]) -> Trial
         det.extend(detectors)
     langs = np.repeat(np.array(embeddings.languages, dtype=object), L)
     tgt = langs == np.tile(np.array(detectors, dtype=object), n)
-    return TrialSet(tuple(ids), tuple(det), tgt.astype(bool), detectors)
+    return TrialSet(tuple(ids), tuple(det), tgt.astype(bool))
 
 
 def trial_index(
@@ -211,41 +210,40 @@ def per_language_means(
     embeddings: EmbeddingSet, weights: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
     """Weighted arithmetic mean vector per language (uniform if no weights)."""
-    if weights is None:
-        weights = np.ones(len(embeddings))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(embeddings),):
-        raise ValueError("weights must have one entry per record")
+    weights = check_weights(weights, len(embeddings))
     means = {}
     for lang, rows in zip(*group_rows(embeddings.languages)):
         w = weights[rows]
-        total = w.sum()
-        if total <= 0:
-            raise ValueError(f"zero total weight for language {lang!r}")
-        means[lang] = (w[:, None] * embeddings.vectors[rows]).sum(axis=0) / total
+        means[lang] = (w[:, None] * embeddings.vectors[rows]).sum(axis=0) / w.sum()
     return means
+
+
+def check_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
+    """Per-record weights as a float array: all ones for None, otherwise one
+    finite positive weight for each of the n records, or ValueError."""
+    if weights is None:
+        return np.ones(n)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError("weights must have one entry per record")
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ValueError("weights must be finite and positive")
+    return weights
 
 
 def balance_weights(embeddings: EmbeddingSet) -> np.ndarray:
     """Per-record weight 1 / count(language, dataset), unnormalized."""
     weights = np.empty(len(embeddings))
-    for rows in group_indices(embeddings).values():
+    for rows in group_rows(zip(embeddings.languages, embeddings.datasets))[1]:
         weights[rows] = 1.0 / len(rows)
     return weights
 
 
-def group_indices(embeddings: EmbeddingSet) -> dict[tuple[str, str], np.ndarray]:
-    """Record positions per (language, dataset) group, keys sorted."""
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i in range(len(embeddings)):
-        groups.setdefault((embeddings.languages[i], embeddings.datasets[i]), []).append(i)
-    return {key: np.array(groups[key], dtype=np.intp) for key in sorted(groups)}
-
-
 def group_rows(labels) -> tuple[tuple, list[np.ndarray]]:
     """The distinct labels, sorted as the objects they are (integers as
-    integers), and the ascending positions of the rows that carry each."""
-    labels = np.array(list(labels), dtype=object)
+    integers, tuples element by element), and the ascending positions of the
+    rows that carry each."""
+    labels = np.fromiter(labels, dtype=object)
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
     cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1

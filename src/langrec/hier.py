@@ -199,8 +199,8 @@ def init_hier(
     train: EmbeddingSet,
     cluster_map: ClusterMap,
     weights: np.ndarray | None,
-    out_dim1: int,
-    out_dim2: int,
+    out_dim1: int | None = None,
+    out_dim2: int | None = None,
     em_iters: int = 50,
 ) -> HierBackend:
     """Generative initialization of the hierarchical backend.
@@ -208,8 +208,9 @@ def init_hier(
     Shift vectors are the average of the per-language mean embeddings in
     each cluster. Stage1 is initialized with clusters as class labels;
     stage2 on the shifted embeddings with languages as class labels.
-    Requires out_dim1 <= #clusters - 1 and out_dim2 <= #languages -
-    #clusters (the between-class rank left after per-cluster centering).
+    out_dim1 and out_dim2 default to their rank bounds, #clusters - 1 and
+    #languages - #clusters (the between-class rank left after per-cluster
+    centering), and may not exceed them.
     """
     langs = cluster_map.languages
     if tuple(train.language_inventory()) != langs:
@@ -220,6 +221,8 @@ def init_hier(
         raise ValueError("hierarchy degenerate: every cluster is a singleton")
     if C < 2:
         raise ValueError("hierarchy degenerate: need at least 2 clusters")
+    out_dim1 = C - 1 if out_dim1 is None else out_dim1
+    out_dim2 = L - C if out_dim2 is None else out_dim2
     if out_dim1 > C - 1:
         raise ValueError(f"out_dim1 {out_dim1} exceeds rank bound #clusters-1 = {C - 1}")
     if out_dim2 > L - C:
@@ -228,7 +231,7 @@ def init_hier(
         )
 
     lang_means = per_language_means(train, weights)
-    cluster_names = sorted(cluster_map.cluster_names)
+    cluster_names = cluster_map.cluster_names
     shifts = np.vstack(
         [
             np.mean([lang_means[l] for l in cluster_map.cluster_languages[name]], axis=0)

@@ -18,6 +18,8 @@ import numpy as np
 from .clustering import ClusterMap
 from .dataio import TrialSet
 
+MAX_REDRAWS = 10
+
 
 @dataclass
 class MetricReport:
@@ -38,26 +40,13 @@ class MetricReport:
         if self.min_dcf_norm > self.actual_dcf_norm + 1e-12:
             raise ValueError("min DCF cannot exceed actual DCF")
 
-    def to_dict(self) -> dict:
-        return {
-            "pmiss": self.pmiss,
-            "pfa": self.pfa,
-            "actual_dcf_norm": self.actual_dcf_norm,
-            "min_dcf_norm": self.min_dcf_norm,
-            "eer": self.eer,
-            "n_target": self.n_target,
-            "n_nontarget": self.n_nontarget,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
-
 
 def bayes_threshold(p_target: float, c_miss: float = 1.0, c_fa: float = 1.0) -> float:
     """Decision threshold minimizing expected cost for calibrated LLRs."""
     if not 0.0 < p_target < 1.0:
         raise ValueError("p_target must be in (0, 1)")
-    if c_miss <= 0 or c_fa <= 0:
-        raise ValueError("costs must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in (c_miss, c_fa)):
+        raise ValueError("costs must be finite and positive")
     return math.log(c_fa * (1.0 - p_target) / (c_miss * p_target))
 
 
@@ -192,7 +181,6 @@ def subset_trials(
         sample_ids=tuple(trials.sample_ids[i] for i in kept),
         detector_languages=tuple(trials.detector_languages[i] for i in kept),
         is_target=trials.is_target[kept],
-        detectors=tuple(d for d in trials.detectors if d in member_set),
     )
     return sub, mask
 
@@ -205,14 +193,13 @@ def bootstrap_ci(
     p_target: float = 0.1,
     c_miss: float = 1.0,
     c_fa: float = 1.0,
-    max_redraws: int = 10,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the normalized actual DCF.
 
     Resamples at the waveform (sample_id) level: each drawn sample brings
     every one of its trials, with multiplicity. Percentiles use the
     nearest-rank rule (2.5% and 97.5%); replicates with no targets or no
-    non-targets are redrawn a bounded number of times. Deterministic per
+    non-targets are redrawn, at most MAX_REDRAWS times. Deterministic per
     seed; each replicate uses its own derived RNG stream.
     """
     scores = np.asarray(scores, dtype=np.float64)
@@ -242,7 +229,7 @@ def bootstrap_ci(
     totals = np.empty((n_boot, 4), dtype=np.int64)
     for rep in range(n_boot):
         rng = np.random.default_rng([seed, rep])
-        for attempt in range(max_redraws + 1):
+        for attempt in range(MAX_REDRAWS + 1):
             draw = rng.integers(0, len(ids), size=len(ids))
             totals[rep] = per_sample @ np.bincount(draw, minlength=len(ids))
             if totals[rep, 0] > 0 and totals[rep, 1] > 0:

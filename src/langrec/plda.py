@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .dataio import class_stats, group_rows
+from .dataio import check_weights, class_stats, group_rows
 
 logger = logging.getLogger(__name__)
 
@@ -161,11 +161,7 @@ def em_train(
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,) or np.any(weights <= 0):
-        raise ValueError("weights must be positive, one per record")
+    weights = check_weights(weights, n)
     weights = weights * (n / weights.sum())
 
     classes, rows = group_rows(labels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataio import class_stats, group_rows
+from .dataio import check_weights, class_stats, group_rows
 
 logger = logging.getLogger(__name__)
 
@@ -77,24 +77,23 @@ def fit_lda(
     X: np.ndarray,
     labels,
     weights: np.ndarray | None,
-    out_dim: int,
+    out_dim: int | None = None,
 ) -> AffinePreproc:
     """Weighted LDA projection with mean/variance normalization folded in.
 
     Rows of A are the leading generalized eigenvectors of the weighted
     between-class scatter against the weighted within-class scatter, scaled
     and shifted so the projected training data has zero mean and unit
-    variance per component. Requires out_dim <= #classes - 1 and every
-    class to have at least two samples.
+    variance per component. out_dim defaults to its rank bound,
+    #classes - 1, and may not exceed it; every class needs at least two
+    samples.
     """
     X = np.asarray(X, dtype=np.float64)
     n, in_dim = X.shape
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,) or np.any(weights <= 0):
-        raise ValueError("weights must be positive, one per record")
+    weights = check_weights(weights, n)
     classes, rows = group_rows(labels)
+    if out_dim is None:
+        out_dim = len(classes) - 1
     if out_dim > len(classes) - 1:
         raise ValueError(
             f"out_dim {out_dim} exceeds LDA rank bound #classes-1 = {len(classes) - 1}"

@@ -11,12 +11,13 @@ metrics.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .backend import fit_generative_backend, init_from_generative
-from .clustering import ClusterMap, cluster_priors, cut_merges, linkage_merges, plda_distance_matrix
+from .clustering import ClusterMap, cut_merges, linkage_merges, plda_distance_matrix
 from .dataio import (
     EmbeddingSet,
     balance_weights,
@@ -26,7 +27,7 @@ from .dataio import (
 )
 from .hier import init_hier
 from .metrics import bootstrap_ci, evaluate, subset_trials
-from .training import TrainConfig, dev_evaluator, multi_seed_train
+from .training import TrainConfig, check_count, dev_evaluator, multi_seed_train
 
 logger = logging.getLogger(__name__)
 
@@ -53,18 +54,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not self.cluster_sizes or any(s < 1 for s in self.cluster_sizes):
-            raise ValueError("cluster_sizes must be non-empty, all >= 1")
+        if not self.cluster_sizes:
+            raise ValueError("cluster_sizes must be non-empty")
+        for size in self.cluster_sizes:
+            check_count("cluster size", size, 1)
+        for name in ("dim", "n_datasets", "n_train", "n_dev", "n_test"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed)
         for name in ("sigma_cluster", "sigma_language", "sigma_within", "sigma_dataset"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.n_datasets < 1:
-            raise ValueError("n_datasets must be >= 1")
-        for name in ("n_train", "n_dev", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {sigma!r}")
 
     @property
     def languages(self) -> list[str]:
@@ -116,7 +116,7 @@ def generate(config: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Embedding
     train = build("train", config.n_train)
     dev = build("dev", config.n_dev)
     test = build("test", config.n_test)
-    return train, dev, test, cluster_priors(truth_clusters)
+    return train, dev, test, ClusterMap(truth_clusters)
 
 
 def tune_cluster_threshold(
@@ -142,16 +142,14 @@ def tune_cluster_threshold(
     candidates += [0.5 * (a + b) for a, b in zip(dists, dists[1:]) if b > a]
     candidates.append(dists[-1] + 1.0)
 
-    L = len(langs)
     evaluate_dev = dev_evaluator(langs, dev_sets, pi)
     best = None
     for threshold in candidates:
         cmap = cut_merges(langs, merges, threshold)
-        C = cmap.n_clusters()
-        if C < 2 or L - C < 1:
+        if not 2 <= cmap.n_clusters() < len(langs):
             continue
         try:
-            backend = init_hier(train, cmap, weights, C - 1, L - C, em_iters=em_iters)
+            backend = init_hier(train, cmap, weights, em_iters=em_iters)
         except ValueError as exc:
             # Candidate hierarchies can be numerically degenerate (e.g. a
             # 1-D stage collapses to +-1 under length normalization).
@@ -170,7 +168,6 @@ def tune_cluster_threshold(
 class ComparisonResult:
     report: dict  # system -> subset -> MetricReport dict
     cluster_map: ClusterMap
-    threshold: float
     scores: dict = field(repr=False, default_factory=dict)  # system -> (N, L) array
     trials: object = None
 
@@ -194,26 +191,23 @@ def run_comparison(
     """
     train_set, dev_set, test_set, _truth = generate(config)
     weights = balance_weights(train_set)
-    L = len(train_set.language_inventory())
 
-    plda_backend = fit_generative_backend(train_set, weights, out_dim=L - 1, em_iters=em_iters)
+    plda_backend = fit_generative_backend(train_set, weights, em_iters=em_iters)
     detectors = plda_backend.detector_labels
     dev_trials = generate_trials(dev_set, detectors)
     dev_sets = [(dev_set, dev_trials)]
 
-    threshold, cmap = tune_cluster_threshold(
+    _, cmap = tune_cluster_threshold(
         train_set, dev_sets, weights, plda_backend, train_config.pi, em_iters=em_iters
     )
 
     def make_flat():
-        return init_from_generative(train_set, weights, L - 1, em_iters=em_iters)
+        return init_from_generative(train_set, weights, em_iters=em_iters)
 
     dplda = multi_seed_train(make_flat, train_set, dev_sets, train_config).backend
 
-    C = cmap.n_clusters()
-
     def make_hier():
-        return init_hier(train_set, cmap, weights, C - 1, L - C, em_iters=em_iters)
+        return init_hier(train_set, cmap, weights, em_iters=em_iters)
 
     hdplda = multi_seed_train(make_hier, train_set, dev_sets, train_config).backend
 
@@ -230,7 +224,7 @@ def run_comparison(
         rep.ci_low, rep.ci_high = bootstrap_ci(
             flat, trials, n_boot=n_boot, seed=bootstrap_seed
         )
-        subsets = {"all": rep.to_dict()}
+        subsets = {"all": asdict(rep)}
         for cname in cmap.cluster_names:
             if len(cmap.cluster_languages[cname]) < 2:
                 continue
@@ -239,15 +233,11 @@ def run_comparison(
             sub_rep.ci_low, sub_rep.ci_high = bootstrap_ci(
                 flat[mask], sub, n_boot=n_boot, seed=bootstrap_seed
             )
-            subsets[f"cluster:{cname}"] = sub_rep.to_dict()
+            subsets[f"cluster:{cname}"] = asdict(sub_rep)
         report[name] = subsets
 
     result = ComparisonResult(
-        report=report,
-        cluster_map=cmap,
-        threshold=threshold,
-        scores=scores_by_system,
-        trials=trials,
+        report=report, cluster_map=cmap, scores=scores_by_system, trials=trials
     )
     if out_dir is not None:
         write_comparison(result, out_dir)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .backend import FlatBackend
-from .dataio import EmbeddingSet, TrialSet, group_indices, trial_index
+from .dataio import EmbeddingSet, TrialSet, group_rows, trial_index
 from .hier import (
     HierBackend,
     HierCombineInfo,
@@ -33,6 +34,16 @@ from .plda import PairScoreParams, pair_score_matrix
 from .preproc import AffinePreproc, LENGTH_NORM_EPS
 
 logger = logging.getLogger(__name__)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """ValueError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,28 +62,26 @@ class TrainConfig:
     stages: tuple[tuple[int, float], ...] = ((1200, 5e-4), (300, 1e-3))
     finetune: tuple[int, float] = (100, 1e-5)
     seeds: tuple[int, ...] = (0,)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     checkpoint_every: int = 250
     select_metric: str = "loss"  # "loss" or "dcf"
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_count("batch_size", self.batch_size, 1)
         if not 0.0 < self.pi < 1.0:
             raise ValueError("pi must be in (0, 1)")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         for n, lr in tuple(self.stages) + (tuple(self.finetune),):
-            if n < 0 or lr <= 0:
-                raise ValueError("stage batch counts must be >= 0 and rates > 0")
+            check_count("stage batch count", n)
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValueError(f"learning rates must be finite and > 0, got {lr!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            check_count("seed", seed)
         if self.select_metric not in ("loss", "dcf"):
             raise ValueError("select_metric must be 'loss' or 'dcf'")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        check_count("checkpoint_every", self.checkpoint_every, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +386,12 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: dict[str, np.ndarray], config: TrainConfig) -> AdamState:
+def adam_init(params: dict[str, np.ndarray]) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
     )
 
 
@@ -400,7 +403,7 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One bias-corrected Adam update; Lambda/Gamma re-symmetrized afterwards."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     out = {}
     for key, p in params.items():
         g = grads[key]
@@ -408,7 +411,7 @@ def adam_step(
         state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
         m_hat = state.m[key] / (1.0 - b1 ** state.t)
         v_hat = state.v[key] / (1.0 - b2 ** state.t)
-        new = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if _is_symmetric_key(key) and new.ndim == 2:
             new = 0.5 * (new + new.T)
         out[key] = new
@@ -420,19 +423,15 @@ def adam_step(
 
 
 def sample_batch(
-    train: EmbeddingSet, batch_size: int, rng: np.random.Generator
+    groups: list[np.ndarray], batch_size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Balanced batch indices: near-equal quotas per (language, dataset) group.
+    """Balanced batch indices: near-equal quotas per group of row positions
+    (in training, the (language, dataset) groups).
 
     The per-group quota is ceil(batch_size / #groups); the excess over
     batch_size is removed from the tail of a random group permutation, and
     samples are drawn with replacement within each group.
     """
-    groups = list(group_indices(train).values())
-    return _sample_from_groups(groups, batch_size, rng)
-
-
-def _sample_from_groups(groups, batch_size, rng):
     G = len(groups)
     q = -(-batch_size // G)  # ceil
     excess = q * G - batch_size
@@ -533,7 +532,7 @@ def train(
     if missing:
         raise ValueError(f"training languages without a detector: {missing}")
     label_idx_all = np.array([det_pos[l] for l in train_set.languages], dtype=np.intp)
-    groups = list(group_indices(train_set).values())
+    groups = group_rows(zip(train_set.languages, train_set.datasets))[1]
     evaluate_dev = dev_evaluator(
         backend.detector_labels, dev_sets, config.pi, config.select_metric
     )
@@ -566,10 +565,10 @@ def train(
 
     def run_stage(n_batches, lr):
         nonlocal params, batches_seen, diverged
-        state = adam_init(params, config)
+        state = adam_init(params)
         running: list[float] = []
         for b in range(n_batches):
-            idx = _sample_from_groups(groups, config.batch_size, rng)
+            idx = sample_batch(groups, config.batch_size, rng)
             X = train_set.vectors[idx]
             y = label_idx_all[idx]
             try:

@@ -478,3 +478,61 @@ class TestEvalCommand:
         code = main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(tmp_path / "x.json")])
         assert code == 1
         assert "non-finite score at line 3" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (command, change): a train or synth config with `change` merged into the
+# test config, or eval / cluster with `change` as extra options. Every case
+# is a bad number that must stop the command as a config error.
+BAD_NUMBER_CASES = {
+    "train-nan-rate": ("train", {"stages": [[5, NAN]]}),
+    "train-inf-rate": ("train", {"finetune": [5, INF]}),
+    "train-nan-checkpoint-every": ("train", {"checkpoint_every": NAN}),
+    "train-negative-em-iters": ("train", {"em_iters": -3}),
+    "train-fractional-batch-size": ("train", {"batch_size": 2.5}),
+    "train-fractional-stage-count": ("train", {"stages": [[2.5, 1e-3]]}),
+    "train-fractional-seed": ("train", {"seeds": [0.5]}),
+    "train-string-out-dim": ("train", {"out_dim": "x"}),
+    "train-zero-out-dim": ("train", {"out_dim": 0}),
+    "synth-fractional-dim": ("synth", {"dim": 8.5}),
+    "synth-fractional-cluster-size": ("synth", {"cluster_sizes": [2.5, 2]}),
+    "synth-nan-sigma": ("synth", {"sigma_cluster": NAN}),
+    "synth-inf-sigma": ("synth", {"sigma_within": INF}),
+    "synth-not-an-object": ("synth", 5),
+    "eval-nan-c-fa": ("eval", ["--c-fa", "nan"]),
+    "eval-inf-c-miss": ("eval", ["--c-miss", "inf"]),
+    "eval-negative-c-miss": ("eval", ["--c-miss", "-1"]),
+    "eval-nan-p-target": ("eval", ["--p-target", "nan"]),
+    "eval-p-target-above-1": ("eval", ["--p-target", "1.5"]),
+    "eval-negative-bootstrap": ("eval", ["--bootstrap", "-5"]),
+    "eval-negative-seed": ("eval", ["--bootstrap", "5", "--seed", "-1"]),
+    "cluster-nan-threshold": ("cluster", ["--threshold", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBER_CASES))
+def test_bad_number_is_config_error(workdir, tmp_path, capsys, case):
+    command, change = BAD_NUMBER_CASES[case]
+    data = workdir / "data"
+    if command in ("train", "synth"):
+        base = TRAIN_CONFIG if command == "train" else SYNTH_CONFIG
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**base, **change} if isinstance(change, dict) else change))
+    if command == "train":
+        argv = ["train", "--kind", "dplda", str(data / "train.tsv"), str(data / "dev.tsv"),
+                str(cfg), str(tmp_path / "model.json")]
+    elif command == "synth":
+        argv = ["synth", str(cfg), str(tmp_path / "out")]
+    elif command == "eval":
+        scores = tmp_path / "scores.tsv"
+        assert main(["score", str(workdir / "plda.json"), str(data / "test.tsv"), str(scores)]) == 0
+        argv = ["eval", str(scores), str(data / "test.tsv"), str(tmp_path / "report.json"), *change]
+    else:
+        argv = ["cluster", str(data / "train.tsv"), str(workdir / "plda.json"),
+                str(tmp_path / "clusters.json"), *change]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("langrec: config error:"), err
+    assert "Traceback" not in err

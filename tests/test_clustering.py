@@ -210,14 +210,29 @@ class TestClusterPriors:
         cmap = cluster_priors({"a": ("a", "b", "c")})
         assert cmap.p_c["a"] == 1.0
 
-    def test_normalization_validated(self):
-        with pytest.raises(ValueError):
-            ClusterMap(
-                assignment={"a": "a"},
-                cluster_languages={"a": ("a",)},
-                p_c={"a": 0.5},
-                p_l_given_c={"a": 1.0},
-            )
+    @pytest.mark.parametrize(
+        "clusters, message",
+        [
+            ({"a": ("a", "b"), "c": ("b", "c")}, "'b' appears in cluster 'a' and again in 'c'"),
+            ({"a": ("a", "a")}, "'a' appears in cluster 'a' and again in 'a'"),
+            ({"a": ("a",), "b": ()}, "cluster 'b' is empty"),
+            ({}, "empty partition"),
+        ],
+        ids=["language_in_two_clusters", "language_twice_in_one_cluster", "empty_cluster",
+             "no_clusters"],
+    )
+    def test_invalid_partition_rejected(self, clusters, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterMap(clusters)
+
+    def test_derived_fields(self):
+        cmap = ClusterMap({"c": ["d", "c"], "a": ("b", "a", "e")}, threshold=2.0)
+        assert cmap.cluster_languages == {"a": ("a", "b", "e"), "c": ("c", "d")}
+        assert cmap.cluster_names == ("a", "c")
+        assert cmap.assignment == {"a": "a", "b": "a", "e": "a", "c": "c", "d": "c"}
+        assert cmap.p_c == {"a": 3 / 5, "c": 2 / 5}
+        assert cmap.p_l_given_c == {"a": 1 / 3, "b": 1 / 3, "e": 1 / 3, "c": 0.5, "d": 0.5}
+        assert cmap.threshold == 2.0
 
 
 class TestClusterMapJson:

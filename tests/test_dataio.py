@@ -178,12 +178,19 @@ class TestPerLanguageMeans:
         means = per_language_means(es, weights=np.array([1.0, 3.0]))
         assert np.allclose(means["a"], [1.5, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_weight_rejected(self, bad):
+        es = make_set([("1", "a", "d", [0.0, 0.0]), ("2", "a", "d", [2.0, 0.0])])
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            per_language_means(es, weights=np.array([1.0, bad]))
+
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     st.one_of(
         st.lists(st.text(alphabet="abAB19", max_size=3), max_size=40),
         st.lists(st.integers(-20, 20), max_size=40),
+        st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xy1")), max_size=40),
     )
 )
 def test_group_rows_partitions_rows_by_sorted_label(labels):

@@ -4,11 +4,16 @@ Each run is a fresh interpreter, because OpenBLAS reads its thread count
 once, when numpy is first imported.
 
 The generative model and the flat discriminative model are checked. The
-hierarchical model's generative initialisation is not thread-count
-invariant (see ROADMAP item 3). The generative check covers the LDA and EM
-fit alone: class statistics summed class by class are invariant, while a
-within-class scatter taken as one product over all rows (2000 x 64 here)
-is not.
+generative check covers the LDA and EM fit alone: class statistics summed
+class by class are invariant for the 200-row language classes of
+`SynthConfig()`, while a within-class scatter taken as one product over
+all rows (2000 x 64 here) is not.
+
+The hierarchical model stays out. Its stage 1 takes clusters as classes,
+400 and 600 rows of 64-d, and `dataio.class_stats` gives those a
+different within-class scatter at 1 and at 2 BLAS threads, so the
+`hdplda` initial scores differ between thread counts on every
+`SynthConfig` seed from 0 to 7 (see ROADMAP item 3).
 """
 
 import os

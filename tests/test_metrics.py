@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -200,7 +201,7 @@ class TestEvaluate:
         assert rep.n_target == 30 and rep.n_nontarget == 100
         assert rep.min_dcf_norm <= rep.actual_dcf_norm
         assert 0.0 <= rep.eer <= 1.0
-        doc = rep.to_dict()
+        doc = dataclasses.asdict(rep)
         assert MetricReport(**doc) == rep
         assert set(doc) == {
             "pmiss", "pfa", "actual_dcf_norm", "min_dcf_norm", "eer",

@@ -369,6 +369,15 @@ class TestEmTrain:
         W_cov /= V
         assert np.allclose(np.linalg.inv(model.W), W_cov, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        rng = np.random.default_rng(22)
+        X, labels = self._sample(rng, 4, 20, 2)
+        w = np.ones(len(labels))
+        w[3] = bad
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            em_train(X, labels, w, n_iters=2)
+
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(22)
         X, labels = self._sample(rng, 4, 20, 2)

@@ -92,6 +92,21 @@ class TestFitLda:
         with pytest.raises(ValueError, match="rank bound"):
             fit_lda(X, labels, np.ones(len(labels)), out_dim=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        X, labels = self._two_class_data()
+        w = np.ones(len(labels))
+        w[5] = bad
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            fit_lda(X, labels, w, out_dim=1)
+
+    def test_out_dim_defaults_to_rank_bound(self):
+        X, labels = self._two_class_data()
+        w = np.ones(len(labels))
+        default = fit_lda(X, labels, w)
+        assert default.out_dim == 1
+        assert np.array_equal(default.A, fit_lda(X, labels, w, 1).A)
+
     def test_weight_scale_invariance(self):
         X, labels = self._two_class_data(seed=3)
         w = np.ones(len(labels))

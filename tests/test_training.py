@@ -7,7 +7,7 @@ import pytest
 
 from langrec.backend import FlatBackend, init_from_generative
 from langrec.clustering import cluster_priors
-from langrec.dataio import EmbeddingSet, generate_trials, trial_index
+from langrec.dataio import EmbeddingSet, generate_trials, group_rows, trial_index
 from langrec.hier import HierBackend
 from langrec.metrics import actual_dcf
 from langrec.plda import PairScoreParams
@@ -323,15 +323,14 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
         grads = {"w": np.array([0.5, -0.25, 1e-3])}
-        cfg = TrainConfig()
-        state = adam_init(params, cfg)
+        state = adam_init(params)
         new = adam_step(params, grads, state, lr=0.01)
         step = new["w"] - params["w"]
         assert np.allclose(step, -0.01 * np.sign(grads["w"]), atol=1e-4)
 
     def test_zero_gradient_no_change(self):
         params = {"w": np.array([1.0, 2.0])}
-        state = adam_init(params, TrainConfig())
+        state = adam_init(params)
         new = adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
         assert np.array_equal(new["w"], params["w"])
 
@@ -341,7 +340,7 @@ class TestAdam:
         grads = {"Lambda": rng.standard_normal((3, 3)), "w": rng.standard_normal(4)}
         outs = []
         for _ in range(2):
-            state = adam_init(params, TrainConfig())
+            state = adam_init(params)
             p = dict(params)
             for _ in range(5):
                 p = adam_step(p, grads, state, lr=0.01)
@@ -355,7 +354,7 @@ class TestAdam:
             "Lambda": np.array([[0.0, 1.0], [0.0, 0.0]]),
             "Gamma": np.array([[0.0, 0.0], [2.0, 0.0]]),
         }
-        state = adam_init(params, TrainConfig())
+        state = adam_init(params)
         new = adam_step(params, grads, state, lr=0.1)
         assert np.allclose(new["Lambda"], new["Lambda"].T)
         assert np.allclose(new["Gamma"], new["Gamma"].T)
@@ -370,10 +369,14 @@ class TestSampleBatch:
         ids, langs, dsets, vecs = zip(*rows)
         return EmbeddingSet(ids, langs, dsets, np.vstack(vecs))
 
+    @staticmethod
+    def _groups(es):
+        return group_rows(zip(es.languages, es.datasets))[1]
+
     def test_even_quota(self):
         rng = np.random.default_rng(11)
         es = self._grouped_set(rng)
-        idx = sample_batch(es, 8, np.random.default_rng(0))
+        idx = sample_batch(self._groups(es), 8, np.random.default_rng(0))
         assert len(idx) == 8
         keys = [(es.languages[i], es.datasets[i]) for i in idx]
         for key in set(keys):
@@ -382,7 +385,7 @@ class TestSampleBatch:
     def test_truncated_quota(self):
         rng = np.random.default_rng(12)
         es = self._grouped_set(rng)
-        idx = sample_batch(es, 10, np.random.default_rng(1))
+        idx = sample_batch(self._groups(es), 10, np.random.default_rng(1))
         assert len(idx) == 10
         keys = [(es.languages[i], es.datasets[i]) for i in idx]
         counts = sorted((keys.count(k) for k in set(keys)), reverse=True)
@@ -391,8 +394,8 @@ class TestSampleBatch:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(13)
         es = self._grouped_set(rng)
-        a = sample_batch(es, 16, np.random.default_rng(7))
-        b = sample_batch(es, 16, np.random.default_rng(7))
+        a = sample_batch(self._groups(es), 16, np.random.default_rng(7))
+        b = sample_batch(self._groups(es), 16, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
 
