@@ -10,6 +10,7 @@ Both score every sample against every detector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +103,40 @@ class GenerativeBackend:
         return apply_llr_tables(self.tables, self.preproc.transform(X))
 
 
+class GenerativeFit(NamedTuple):
+    """One generative fit: LDA preprocessing, the EM-trained PLDA, the class
+    label of each training row and the preprocessed training set, projected
+    once. Both backends are built from it, so one fit can serve both."""
+
+    preproc: AffinePreproc
+    model: PldaModel
+    labels: list
+    U: np.ndarray
+
+    def generative_backend(self) -> GenerativeBackend:
+        """Exact-scoring backend with unweighted per-class enrollment sets."""
+        detector_labels, rows = group_rows(self.labels)
+        return GenerativeBackend(
+            preproc=self.preproc,
+            model=self.model,
+            detector_labels=detector_labels,
+            enroll=enrollment_stats([self.U[r] for r in rows]),
+        )
+
+    def flat_backend(self) -> FlatBackend:
+        """Trainable backend: pair-score parameters from the model and each
+        detector the mean of its class's preprocessed (length-normalized)
+        training vectors, so it reproduces the generative mean-enrollment
+        scores exactly. A new backend on every call."""
+        detector_labels, rows = group_rows(self.labels)
+        return FlatBackend(
+            preproc=self.preproc,
+            params=to_pair_params(self.model),
+            detector_labels=detector_labels,
+            detectors=np.vstack([self.U[r].mean(axis=0) for r in rows]),
+        )
+
+
 def fit_generative(
     train: EmbeddingSet,
     weights: np.ndarray | None,
@@ -113,16 +148,23 @@ def fit_generative(
 
     out_dim is the LDA dimension; fit_lda's default is #classes - 1.
     """
-    return _fit_generative(train, weights, out_dim, class_labels, em_iters)[:3]
+    return generative_fit(train, weights, out_dim, class_labels, em_iters)[:3]
 
 
-def _fit_generative(train, weights, out_dim, class_labels, em_iters):
-    """fit_generative's result plus the preprocessed training set, projected once."""
+def generative_fit(
+    train: EmbeddingSet,
+    weights: np.ndarray | None,
+    out_dim: int | None = None,
+    class_labels=None,
+    em_iters: int = 50,
+) -> GenerativeFit:
+    """fit_generative's result plus the preprocessed training set; the class
+    labels default to the languages."""
     labels = list(class_labels) if class_labels is not None else list(train.languages)
     preproc = fit_lda(train.vectors, labels, weights, out_dim)
     U = preproc.transform(train.vectors)
     model = em_train(U, labels, weights, n_iters=em_iters)
-    return preproc, model, labels, U
+    return GenerativeFit(preproc, model, labels, U)
 
 
 def fit_generative_backend(
@@ -133,14 +175,7 @@ def fit_generative_backend(
 ) -> GenerativeBackend:
     """Weighted LDA + EM PLDA with unweighted per-language enrollment sets;
     out_dim as in fit_generative."""
-    preproc, model, labels, U = _fit_generative(train, weights, out_dim, None, em_iters)
-    detector_labels, rows = group_rows(labels)
-    return GenerativeBackend(
-        preproc=preproc,
-        model=model,
-        detector_labels=detector_labels,
-        enroll=enrollment_stats([U[r] for r in rows]),
-    )
+    return generative_fit(train, weights, out_dim, em_iters=em_iters).generative_backend()
 
 
 def init_from_generative(
@@ -150,19 +185,6 @@ def init_from_generative(
     class_labels=None,
     em_iters: int = 50,
 ) -> FlatBackend:
-    """Generative initialization of the trainable backend.
-
-    The pair-score parameters come from the EM-trained model and each
-    detector vector is the mean of the fully preprocessed (length-
-    normalized) training vectors of its class, so at initialization the
-    backend reproduces the generative mean-enrollment scores exactly.
-    out_dim is as in fit_generative.
-    """
-    preproc, model, labels, U = _fit_generative(train, weights, out_dim, class_labels, em_iters)
-    detector_labels, rows = group_rows(labels)
-    return FlatBackend(
-        preproc=preproc,
-        params=to_pair_params(model),
-        detector_labels=detector_labels,
-        detectors=np.vstack([U[r].mean(axis=0) for r in rows]),
-    )
+    """Generative initialization of the trainable backend
+    (GenerativeFit.flat_backend); out_dim is as in fit_generative."""
+    return generative_fit(train, weights, out_dim, class_labels, em_iters).flat_backend()

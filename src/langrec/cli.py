@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, metrics, modelio
-from .backend import fit_generative_backend, init_from_generative
+from .backend import fit_generative_backend, generative_fit
 from .dataio import (
     ParseError,
     TrialSet,
@@ -51,6 +51,14 @@ def _load_json(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} file {path} must hold one JSON object")
     return doc
+
+
+def _load_cluster_map(path) -> clustering.ClusterMap:
+    doc = _load_json(path, "cluster map")
+    try:
+        return clustering.cluster_map_from_doc(doc)
+    except ValueError as exc:
+        raise ConfigError(f"invalid cluster map file {path}: {exc}") from None
 
 
 def _config_from_doc(cls, doc: dict, what: str):
@@ -137,15 +145,12 @@ def cmd_train(args) -> int:
     dev_sets = [(dev_set, dev_trials)]
 
     if args.kind == "dplda":
-        def make_backend():
-            return init_from_generative(train_set, weights, out_dim, em_iters=em_iters)
+        make_backend = generative_fit(train_set, weights, out_dim, em_iters=em_iters).flat_backend
 
     elif args.kind == "hdplda":
         if not args.clusters:
             raise ConfigError("kind 'hdplda' requires --clusters")
-        cmap = clustering.cluster_map_from_json(
-            Path(args.clusters).read_text(encoding="utf-8")
-        )
+        cmap = _load_cluster_map(args.clusters)
         out_dim1, out_dim2 = extras.get("out_dim1"), extras.get("out_dim2")
 
         def make_backend():
@@ -168,10 +173,11 @@ def cmd_score(args) -> int:
     backend, _ = modelio.load_model(args.model)
     test = load_embeddings(args.test)
     S = backend.score_matrix(test.vectors)
-    lines = []
-    for i, sid in enumerate(test.sample_ids):
-        for j, lang in enumerate(backend.detector_labels):
-            lines.append(f"{sid}\t{lang}\t{'%.9g' % S[i, j]}")
+    lines = [
+        f"{sid}\t{lang}\t{'%.9g' % score}"
+        for sid, row in zip(test.sample_ids, S.tolist())
+        for lang, score in zip(backend.detector_labels, row)
+    ]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} trial scores to {args.out}")
     return 0
@@ -238,9 +244,7 @@ def cmd_eval(args) -> int:
     if args.subset:
         if not args.cluster:
             raise ConfigError("--subset requires --cluster")
-        cmap = clustering.cluster_map_from_json(
-            Path(args.cluster).read_text(encoding="utf-8")
-        )
+        cmap = _load_cluster_map(args.cluster)
         members = cmap.cluster_languages.get(args.subset)
         if members is None:
             raise ConfigError(f"unknown cluster {args.subset!r}")

@@ -191,16 +191,36 @@ def merges_to_tsv(merges: Sequence[MergeStep]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cluster_map_to_json(cmap: ClusterMap) -> str:
-    doc = {
+def cluster_map_to_doc(cmap: ClusterMap) -> dict:
+    return {
         "clusters": {name: list(cmap.cluster_languages[name]) for name in cmap.cluster_names},
         "threshold": cmap.threshold,
     }
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def cluster_map_to_json(cmap: ClusterMap) -> str:
+    return json.dumps(cluster_map_to_doc(cmap), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def cluster_map_from_doc(doc) -> ClusterMap:
+    """Inverse of cluster_map_to_doc. Raises ValueError unless `clusters`
+    maps names to lists of language names and `threshold` is a number or
+    null."""
+    if not isinstance(doc, dict) or "clusters" not in doc:
+        raise ValueError("cluster map JSON lacks 'clusters'")
+    clusters = doc["clusters"]
+    if not isinstance(clusters, dict):
+        raise ValueError("'clusters' must map each cluster name to a list of languages")
+    for name, members in clusters.items():
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise ValueError(f"cluster {name!r} must be a list of language names")
+    threshold = doc.get("threshold")
+    if threshold is not None and (
+        isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+    ):
+        raise ValueError(f"threshold must be a number or null, got {threshold!r}")
+    return ClusterMap(clusters, threshold)
 
 
 def cluster_map_from_json(text: str) -> ClusterMap:
-    doc = json.loads(text)
-    if "clusters" not in doc:
-        raise ValueError("cluster map JSON lacks 'clusters'")
-    return ClusterMap(doc["clusters"], doc.get("threshold"))
+    return cluster_map_from_doc(json.loads(text))

@@ -7,6 +7,7 @@ header line. All sets are immutable after construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -95,8 +96,23 @@ class TrialSet:
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read an EMB-TSV file. Raises ParseError naming the offending line."""
+    """Read an EMB-TSV file. Raises ParseError naming the offending line.
+
+    The float fields of all rows are parsed in one pass. If that pass or its
+    checks reject the file, the per-line parser reads it again, and its
+    verdict, the set or the error naming the first bad line, is the answer.
+    """
     path = Path(path)
+    header_dim, body = _read_emb_tsv(path)
+    embeddings = _parse_rows_at_once(body, header_dim)
+    if embeddings is None:
+        embeddings = _parse_rows_one_by_one(path, body, header_dim)
+    return embeddings
+
+
+def _read_emb_tsv(path: Path) -> tuple[int, list[tuple[int, list[str]]]]:
+    """The header dimension and the (line number, tab fields) of every
+    non-blank line after the header."""
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(EMB_TSV_HEADER):
@@ -107,14 +123,46 @@ def load_embeddings(path) -> EmbeddingSet:
         raise ParseError(f"{path}: malformed header at line 1") from None
     if header_dim < 1:
         raise ParseError(f"{path}: header dimension must be >= 1")
+    body = [
+        (lineno, line.split("\t"))
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+    if not body:
+        raise ParseError(f"{path}: empty set")
+    return header_dim, body
 
+
+def _parse_rows_at_once(body, header_dim: int) -> EmbeddingSet | None:
+    """The set, with every float field parsed in one np.loadtxt call, or None
+    if any row needs the per-line parser's verdict.
+
+    np.loadtxt splits on the whitespace str.split() splits on and parses
+    each number as float() does, but rejects what float() alone accepts
+    (digit-group underscores, non-ASCII digits); comments=None keeps '#'
+    from cutting a row short. So wherever this returns a set, the per-line
+    parser returns the same one.
+    """
+    if any(len(fields) != 4 for _, fields in body):
+        return None
+    ids, langs, sets, floats = zip(*(fields for _, fields in body))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vectors = np.loadtxt(list(floats), dtype=np.float64, comments=None, ndmin=2)
+        if vectors.shape != (len(ids), header_dim):
+            return None
+        return EmbeddingSet(ids, langs, sets, vectors)  # checks finiteness and unique ids
+    except (ValueError, Warning):
+        return None
+
+
+def _parse_rows_one_by_one(path: Path, body, header_dim: int) -> EmbeddingSet:
+    """The set, or ParseError naming the first offending line in file order."""
     ids, langs, sets, rows = [], [], [], []
     seen = set()
     dim = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
+    for lineno, fields in body:
         if len(fields) != 4:
             raise ParseError(f"{path}: expected 4 tab-separated fields at line {lineno}")
         sid, lang, dset, floats = fields
@@ -140,26 +188,30 @@ def load_embeddings(path) -> EmbeddingSet:
         langs.append(lang)
         sets.append(dset)
         rows.append(vec)
-    if not rows:
-        raise ParseError(f"{path}: empty set")
     return EmbeddingSet(ids, langs, sets, np.vstack(rows))
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
-    """Write an EMB-TSV file; floats at 17 significant digits (exact round-trip)."""
+    """Write an EMB-TSV file; floats at 17 significant digits (exact round-trip).
+
+    The labels are checked before the file is opened. Rows are written one
+    at a time through one format template: the text of the whole file, or
+    all vectors as Python floats at once, would cost more memory than the
+    array itself.
+    """
     if len(embeddings) == 0:
         raise ValueError("refusing to save an empty set")
+    labels = list(zip(embeddings.sample_ids, embeddings.languages, embeddings.datasets))
+    for fields in labels:
+        for field in fields:
+            if "\t" in field or "\n" in field:
+                raise ValueError(f"field {field!r} contains a tab or newline")
+    row_format = "%s\t%s\t%s\t" + " ".join(["%.17g"] * embeddings.dim) + "\n"
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{EMB_TSV_HEADER}{embeddings.dim}\n")
-        for sid, lang, dset, vector in zip(
-            embeddings.sample_ids, embeddings.languages, embeddings.datasets, embeddings.vectors
-        ):
-            for field in (sid, lang, dset):
-                if "\t" in field or "\n" in field:
-                    raise ValueError(f"field {field!r} contains a tab or newline")
-            floats = " ".join("%.17g" % v for v in vector)
-            fh.write(f"{sid}\t{lang}\t{dset}\t{floats}\n")
+        for fields, vector in zip(labels, embeddings.vectors):
+            fh.write(row_format % (*fields, *vector.tolist()))
 
 
 def generate_trials(embeddings: EmbeddingSet, detectors: Sequence[str]) -> TrialSet:

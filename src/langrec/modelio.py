@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import FlatBackend, GenerativeBackend
-from .clustering import cluster_map_from_json, cluster_map_to_json
+from .clustering import cluster_map_from_doc, cluster_map_to_doc
 from .hier import HierBackend
 from .plda import EnrollmentStats, PairScoreParams, PldaModel
 from .preproc import AffinePreproc
@@ -108,7 +108,7 @@ def model_to_doc(backend, train_config=None, seed=None) -> dict:
             name: backend.shifts[i].tolist()
             for i, name in enumerate(backend.stage1.detector_labels)
         }
-        doc["cluster_map"] = json.loads(cluster_map_to_json(backend.cluster_map))
+        doc["cluster_map"] = cluster_map_to_doc(backend.cluster_map)
     elif isinstance(backend, FlatBackend):
         doc["kind"] = "dplda"
         doc.update(_flat_doc(backend))
@@ -153,7 +153,7 @@ def _backend_from_doc(doc: dict, kind: str):
     if kind == "dplda":
         return _flat_from(doc)
     stage1 = _flat_from(doc["stage1"])  # kind == "hdplda"
-    cmap = cluster_map_from_json(json.dumps(doc["cluster_map"]))
+    cmap = cluster_map_from_doc(doc["cluster_map"])
     shifts = np.array([doc["shifts"][name] for name in stage1.detector_labels])
     return HierBackend(
         stage1=stage1,

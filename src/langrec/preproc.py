@@ -90,6 +90,8 @@ def fit_lda(
     """
     X = np.asarray(X, dtype=np.float64)
     n, in_dim = X.shape
+    if not np.all(np.isfinite(X)):
+        raise ValueError("embedding vectors must be finite (no NaN/Inf)")
     weights = check_weights(weights, n)
     classes, rows = group_rows(labels)
     if out_dim is None:
@@ -113,7 +115,11 @@ def fit_lda(
         S_b += n_c * np.outer(dm, dm)
     S_b /= total_w
 
-    cond = np.linalg.cond(S_w)
+    # S_w is symmetric positive semi-definite: its singular values are the
+    # magnitudes of its eigenvalues, which cost a fraction of an SVD.
+    magnitudes = np.abs(np.linalg.eigvalsh(S_w))
+    with np.errstate(over="ignore"):
+        cond = magnitudes.max() / magnitudes.min() if magnitudes.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         ridge = _RIDGE_SCALE * np.trace(S_w) / in_dim
         logger.warning(

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .backend import fit_generative_backend, init_from_generative
+from .backend import generative_fit
 from .clustering import ClusterMap, cut_merges, linkage_merges, plda_distance_matrix
 from .dataio import (
     EmbeddingSet,
@@ -183,8 +183,8 @@ def run_comparison(
     """Train and evaluate the generative, discriminative, and hierarchical
     backends on one synthetic draw.
 
-    All three share the data, the balance weights, and (for the generative
-    and flat discriminative models) the same initialization. Within-cluster
+    All three share the data and the balance weights; the generative model
+    and the flat discriminative model's initialization come from one fit. Within-cluster
     subsets are reported for every tuned cluster with at least 2 languages.
     With out_dir set, writes report.json ({system -> subset -> report}) and
     one <system>.scores.tsv per system for score-distribution plots.
@@ -192,7 +192,8 @@ def run_comparison(
     train_set, dev_set, test_set, _truth = generate(config)
     weights = balance_weights(train_set)
 
-    plda_backend = fit_generative_backend(train_set, weights, em_iters=em_iters)
+    generative = generative_fit(train_set, weights, em_iters=em_iters)
+    plda_backend = generative.generative_backend()
     detectors = plda_backend.detector_labels
     dev_trials = generate_trials(dev_set, detectors)
     dev_sets = [(dev_set, dev_trials)]
@@ -201,10 +202,7 @@ def run_comparison(
         train_set, dev_sets, weights, plda_backend, train_config.pi, em_iters=em_iters
     )
 
-    def make_flat():
-        return init_from_generative(train_set, weights, em_iters=em_iters)
-
-    dplda = multi_seed_train(make_flat, train_set, dev_sets, train_config).backend
+    dplda = multi_seed_train(generative.flat_backend, train_set, dev_sets, train_config).backend
 
     def make_hier():
         return init_hier(train_set, cmap, weights, em_iters=em_iters)

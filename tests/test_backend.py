@@ -7,6 +7,7 @@ from langrec.backend import (
     FlatBackend,
     GenerativeBackend,
     fit_generative_backend,
+    generative_fit,
     init_from_generative,
 )
 from langrec.clustering import cluster_priors
@@ -31,6 +32,28 @@ def synthetic_set(rng, lang_means, n_per=40, sigma=0.2, n_datasets=1, prefix="s"
 
 def separated_means(rng, n_langs, dim, spread=5.0):
     return {f"l{i}": spread * rng.standard_normal(dim) for i in range(n_langs)}
+
+
+class TestGenerativeFit:
+    def test_one_fit_builds_both_backends_bit_identically(self):
+        rng = np.random.default_rng(3)
+        train = synthetic_set(rng, separated_means(rng, 4, 6), n_per=20)
+        weights = balance_weights(train)
+        fit = generative_fit(train, weights, 3, em_iters=10)
+        probe = rng.standard_normal((5, 6))
+        plda = fit_generative_backend(train, weights, 3, em_iters=10)
+        flat = init_from_generative(train, weights, 3, em_iters=10)
+        assert np.array_equal(fit.generative_backend().score_matrix(probe), plda.score_matrix(probe))
+        assert np.array_equal(fit.flat_backend().score_matrix(probe), flat.score_matrix(probe))
+
+    def test_flat_backend_is_new_on_every_call(self):
+        rng = np.random.default_rng(4)
+        train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
+        fit = generative_fit(train, None, em_iters=5)
+        first, second = fit.flat_backend(), fit.flat_backend()
+        assert first is not second
+        assert first.detectors is not second.detectors and first.params is not second.params
+        assert np.array_equal(first.detectors, second.detectors)
 
 
 class TestInitFromGenerative:

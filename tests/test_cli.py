@@ -536,3 +536,44 @@ def test_bad_number_is_config_error(workdir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("langrec: config error:"), err
     assert "Traceback" not in err
+
+
+# Cluster-map files that are not an object of language lists.
+BAD_CLUSTER_MAPS = {
+    "clusters-is-a-list": json.dumps({"clusters": ["c0_l0"]}),
+    "cluster-is-a-number": json.dumps({"clusters": {"c0_l0": 5}}),
+    "cluster-is-a-string": json.dumps({"clusters": {"c0_l0": "c0_l0"}}),
+    "language-is-a-number": json.dumps({"clusters": {"c0_l0": ["c0_l0", 3]}}),
+    "no-clusters": json.dumps({"threshold": 1.0}),
+    "empty-partition": json.dumps({"clusters": {}}),
+    "threshold-is-a-string": json.dumps(
+        {"clusters": {"c0_l0": ["c0_l0", "c0_l1"]}, "threshold": "x"}
+    ),
+    "not-an-object": json.dumps([["c0_l0"]]),
+    "not-json": "clusters: c0_l0\n",
+    "missing-file": None,
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(BAD_CLUSTER_MAPS))
+def test_bad_cluster_map_is_config_error(workdir, tmp_path, capsys, command, case):
+    data = workdir / "data"
+    cmap = tmp_path / "clusters.json"
+    if BAD_CLUSTER_MAPS[case] is not None:
+        cmap.write_text(BAD_CLUSTER_MAPS[case], encoding="utf-8")
+    if command == "train":
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(TRAIN_CONFIG))
+        argv = ["train", "--kind", "hdplda", str(data / "train.tsv"), str(data / "dev.tsv"),
+                str(cfg), str(tmp_path / "model.json"), "--clusters", str(cmap)]
+    else:
+        scores = tmp_path / "scores.tsv"
+        assert main(["score", str(workdir / "plda.json"), str(data / "test.tsv"), str(scores)]) == 0
+        argv = ["eval", str(scores), str(data / "test.tsv"), str(tmp_path / "report.json"),
+                "--cluster", str(cmap), "--subset", "c0_l0"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("langrec: config error:"), err
+    assert "Traceback" not in err

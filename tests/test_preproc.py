@@ -144,3 +144,28 @@ class TestFitLda:
             p = fit_lda(X, labels, np.ones(4), 1)
         assert any("ridge" in r.message for r in caplog.records)
         assert np.all(np.isfinite(p.A))
+
+
+def _two_class_data(within_y: float) -> np.ndarray:
+    """Two classes whose within-class variance is 1 along x and within_y**2
+    along y, so the within-class scatter's condition number is within_y**-2."""
+    offsets = np.array([[1.0, within_y], [-1.0, -within_y], [1.0, -within_y], [-1.0, within_y]])
+    return np.vstack([offsets, offsets + [5.0, 3.0]])
+
+
+@pytest.mark.parametrize("within_y, ridge", [(1e-4, False), (1e-6, True), (0.0, True)])
+def test_ridge_exactly_when_condition_number_exceeds_limit(caplog, within_y, ridge):
+    X = _two_class_data(within_y)
+    labels = ["a"] * 4 + ["b"] * 4
+    with caplog.at_level("WARNING"):
+        p = fit_lda(X, labels, np.ones(8), 1)
+    assert any("ill-conditioned" in r.message for r in caplog.records) == ridge
+    assert np.all(np.isfinite(p.A))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_embedding_rejected(bad):
+    X = _two_class_data(0.5)
+    X[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fit_lda(X, ["a"] * 4 + ["b"] * 4, np.ones(8), 1)
