@@ -27,7 +27,15 @@ from .plda import (
     pair_score_matrix,
     to_pair_params,
 )
-from .preproc import AffinePreproc, fit_lda
+from .preproc import AffinePreproc, fit_lda, normalized_projection
+
+
+def flat_forward(A, b, pair, detectors, X):
+    """The flat forward pass of scoring and training: the scores (N, L) of
+    every raw row of X against every detector, and U and the norms of
+    normalized_projection(A, b, X) for the backward pass."""
+    U, norms = normalized_projection(A, b, X)
+    return pair_score_matrix(pair, detectors, U), U, norms
 
 
 @dataclass
@@ -56,10 +64,14 @@ class FlatBackend:
     def n_detectors(self) -> int:
         return len(self.detector_labels)
 
+    @property
+    def forward_params(self) -> tuple:
+        """flat_forward's (A, b, pair, detectors)."""
+        return self.preproc.A, self.preproc.b, self.params, self.detectors
+
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         """Scores of every row of X (raw embedding space) against every detector."""
-        U = self.preproc.transform(X)
-        return pair_score_matrix(self.params, self.detectors, U)
+        return flat_forward(*self.forward_params, X)[0]
 
 
 @dataclass

@@ -204,7 +204,8 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     labels = list(zip(embeddings.sample_ids, embeddings.languages, embeddings.datasets))
     for fields in labels:
         for field in fields:
-            if "\t" in field or "\n" in field:
+            # load_embeddings splits lines at every break str.splitlines knows.
+            if "\t" in field or len((field + ".").splitlines()) > 1:
                 raise ValueError(f"field {field!r} contains a tab or newline")
     row_format = "%s\t%s\t%s\t" + " ".join(["%.17g"] * embeddings.dim) + "\n"
     path = Path(path)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .clustering import ClusterMap
 from .dataio import EmbeddingSet, per_language_means
-from .backend import FlatBackend, init_from_generative
+from .backend import FlatBackend, flat_forward, init_from_generative
 from .plda import pair_score_matrix
-from .preproc import length_normalize
+from .preproc import unit_rows
 
 
 def prior_odds(p: float) -> float:
@@ -138,17 +138,24 @@ class HierBackend:
     def n_detectors(self) -> int:
         return len(self.stage2.detector_labels)
 
-    def stage_scores(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cluster scores (N, C), conditional scores (N, K) of the columns combine.cond)."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        L_c = self.stage1.score_matrix(X)
-        pre2, info = self.stage2.preproc, self.combine
-        U2 = length_normalize(shifted_projection(pre2.A, pre2.b, self.shifts, X, info.blocks))
-        return L_c, stage2_scores(self.stage2.params, self.stage2.detectors, U2, info)
-
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        L_c, L_lc = self.stage_scores(X)
-        return combine_matrix(L_c, L_lc, self.combine)[0]
+        return hier_forward(
+            self.stage1.forward_params, self.stage2.forward_params, self.shifts, self.combine, X
+        )[0]
+
+
+def hier_forward(stage1, stage2, shifts, info: HierCombineInfo, X):
+    """The hierarchical forward pass of scoring and training; each stage is
+    flat_forward's (A, b, pair, detectors). Returns the scores (N, L) and,
+    for the backward pass, stage 1's flat_forward outputs, the stage-2 rows
+    U2 (B, N, d2) of every block with their norms, and combine_matrix's
+    a_c - lse and a_lc - lse: (S, (S1, U1, norms1, U2, norms2, t_c, t_lc))."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    S1, U1, norms1 = flat_forward(*stage1, X)
+    A2, b2, pair2, dets2 = stage2
+    U2, norms2 = unit_rows(shifted_projection(A2, b2, shifts, X, info.blocks))
+    S, t_c, t_lc = combine_matrix(S1, stage2_scores(pair2, dets2, U2, info), info)
+    return S, (S1, U1, norms1, U2, norms2, t_c, t_lc)
 
 
 def shifted_projection(A, b, shifts, X, blocks) -> np.ndarray:

@@ -50,19 +50,32 @@ class AffinePreproc:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Apply to a batch of row vectors, including length normalization."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.in_dim:
-            raise ValueError(f"expected dim {self.in_dim}, got {X.shape[1]}")
-        return length_normalize(X @ self.A.T + self.b)
+        return normalized_projection(self.A, self.b, X)[0]
+
+
+class DegenerateEmbeddingError(ValueError, FloatingPointError):
+    """Near-zero norm: bad data when scoring, a divergence when training."""
+
+
+def unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z scaled to unit norm along its last axis, and the norms (for backward passes)."""
+    norms = np.linalg.norm(Z, axis=-1)
+    if np.any(norms < LENGTH_NORM_EPS):
+        raise DegenerateEmbeddingError("degenerate embedding: near-zero norm")
+    return Z / norms[..., None], norms
+
+
+def normalized_projection(A, b, X) -> tuple[np.ndarray, np.ndarray]:
+    """unit_rows of A x + b for every row x of X."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != A.shape[1]:
+        raise ValueError(f"expected dim {A.shape[1]}, got {X.shape[1]}")
+    return unit_rows(X @ A.T + b)
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
     """Scale a vector, or each vector along the last axis, to unit Euclidean norm."""
-    v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms < LENGTH_NORM_EPS):
-        raise ValueError("degenerate embedding: near-zero norm")
-    return v / norms
+    return unit_rows(np.asarray(v, dtype=np.float64))[0]
 
 
 def apply(preproc: AffinePreproc, x: np.ndarray) -> np.ndarray:

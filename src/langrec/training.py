@@ -6,8 +6,9 @@ pairwise score polynomial, the length normalization, and the hierarchical
 log-domain combination, optimized with Adam over a staged schedule with
 balanced batches and dev-based checkpoint selection.
 
-The engine works on plain parameter dictionaries (see get_params) and
-writes back into backend objects only at checkpoint boundaries.
+The engine works on plain parameter dictionaries (see get_params). Adam
+never writes in place, so checkpoints keep its dictionaries uncopied; only
+the final write-back of the best one copies.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .backend import FlatBackend
+from .backend import FlatBackend, flat_forward
 from .dataio import EmbeddingSet, TrialSet, group_rows, trial_index
-from .hier import (
-    HierBackend,
-    HierCombineInfo,
-    combine_matrix,
-    shifted_projection,
-    stage2_scores,
-)
+from .hier import HierBackend, HierCombineInfo, hier_forward
 from .metrics import actual_dcf
-from .plda import PairScoreParams, pair_score_matrix
-from .preproc import AffinePreproc, LENGTH_NORM_EPS
+from .plda import PairScoreParams
+from .preproc import AffinePreproc
 
 logger = logging.getLogger(__name__)
 
@@ -146,12 +141,6 @@ def trial_bce(scores: np.ndarray, is_target: np.ndarray, pi: float) -> float:
 # ---------------------------------------------------------------------------
 # Parameter dictionaries
 
-SYMMETRIC_SUFFIXES = ("Lambda", "Gamma")
-
-
-def _is_symmetric_key(key: str) -> bool:
-    return key.split(".")[-1] in SYMMETRIC_SUFFIXES
-
 
 def _flat_param_dict(backend: FlatBackend, prefix: str = "") -> dict[str, np.ndarray]:
     return {
@@ -178,23 +167,22 @@ def get_params(backend) -> dict[str, np.ndarray]:
 
 
 def _set_flat_params(backend: FlatBackend, params, prefix: str = "") -> None:
-    backend.preproc = AffinePreproc(
-        A=params[prefix + "A"].copy(), b=params[prefix + "b"].copy()
-    )
+    backend.preproc = AffinePreproc(A=params[prefix + "A"], b=params[prefix + "b"])
     backend.params = PairScoreParams(
-        Lambda=params[prefix + "Lambda"].copy(),
-        Gamma=params[prefix + "Gamma"].copy(),
-        c=params[prefix + "c"].copy(),
+        Lambda=params[prefix + "Lambda"],
+        Gamma=params[prefix + "Gamma"],
+        c=params[prefix + "c"],
         k=float(params[prefix + "k"]),
     )
-    backend.detectors = params[prefix + "detectors"].copy()
+    backend.detectors = params[prefix + "detectors"]
 
 
 def set_params(backend, params: dict[str, np.ndarray]) -> None:
+    """Point the backend at the arrays of params, without copying them."""
     if isinstance(backend, HierBackend):
         _set_flat_params(backend.stage1, params, "stage1.")
         _set_flat_params(backend.stage2, params, "stage2.")
-        backend.shifts = params["shifts"].copy()
+        backend.shifts = params["shifts"]
     elif isinstance(backend, FlatBackend):
         _set_flat_params(backend, params)
     else:
@@ -205,23 +193,16 @@ def set_params(backend, params: dict[str, np.ndarray]) -> None:
 # Forward / reverse passes on parameter dictionaries
 
 
-def _unit_rows(Z):
-    """Length normalisation along the last axis, with the norms kept for the backward pass."""
-    norms = np.linalg.norm(Z, axis=-1)
-    if np.any(norms < LENGTH_NORM_EPS):
-        raise FloatingPointError("degenerate embedding in batch (near-zero norm)")
-    return Z / norms[..., None], norms
-
-
-def _pair_params(params, prefix):
-    """A stage's pair-score parameters, unchecked: finite-difference checks perturb
-    Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
-    return SimpleNamespace(
+def _forward_params(params, prefix):
+    """flat_forward's (A, b, pair, detectors) of a stage, unchecked: finite-difference checks
+    perturb Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
+    pair = SimpleNamespace(
         Lambda=params[prefix + "Lambda"],
         Gamma=params[prefix + "Gamma"],
         c=params[prefix + "c"],
         k=float(params[prefix + "k"]),
     )
+    return params[prefix + "A"], params[prefix + "b"], pair, params[prefix + "detectors"]
 
 
 def _pair_backward(pair, detectors, U, G):
@@ -264,12 +245,10 @@ def _lengthnorm_backward(g_U, U, norms):
     return (g_U - inner[:, None] * U) / norms[:, None]
 
 
-def _flat_stage_grads(params, prefix, X, G, U, norms):
-    """Parameter gradients of one flat stage with input X and score gradient G."""
-    dets = params[prefix + "detectors"]
-    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
-        _pair_params(params, prefix), dets, U, G
-    )
+def _flat_stage_grads(stage, prefix, X, G, U, norms):
+    """Gradients of one flat stage (_forward_params) with input X and score gradient G."""
+    _, _, pair, dets = stage
+    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(pair, dets, U, G)
     g_Z = _lengthnorm_backward(g_U, U, norms)
     return {
         prefix + "A": g_Z.T @ X,
@@ -282,17 +261,12 @@ def _flat_stage_grads(params, prefix, X, G, U, norms):
     }
 
 
-def _flat_forward(params, prefix, X):
-    U, norms = _unit_rows(X @ params[prefix + "A"].T + params[prefix + "b"])
-    S = pair_score_matrix(_pair_params(params, prefix), params[prefix + "detectors"], U)
-    return S, U, norms
-
-
 def flat_loss_grads(params, X, label_idx, pi):
     """Loss and gradients for a flat backend given its parameter dict."""
-    S, U, norms = _flat_forward(params, "", X)
+    stage = _forward_params(params, "")
+    S, U, norms = flat_forward(*stage, X)
     loss, G = _bce_loss_grad(S, label_idx, pi)
-    grads = _flat_stage_grads(params, "", X, G, U, norms)
+    grads = _flat_stage_grads(stage, "", X, G, U, norms)
     _check_finite(loss, grads)
     return loss, grads
 
@@ -300,22 +274,17 @@ def flat_loss_grads(params, X, label_idx, pi):
 def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """Loss and gradients for a hierarchical backend given its parameter dict.
 
-    The forward pass is the scorer's: hier.shifted_projection projects X once
-    for every block's shift, hier.stage2_scores scores the conditional
-    columns of every block in one pass and hier.combine_matrix combines the
-    two stages. The backward pass folds the shifts the same way as the
+    The forward pass is the scorer's, hier.hier_forward: it projects X once
+    for every block's shift and scores the conditional columns of every
+    block in one pass. The backward pass folds the shifts the same way as the
     projection: with r_b = g_Zb' 1, g_A = (sum_b g_Zb)' X - sum_b r_b s_b',
     g_b = sum_b r_b and g_s_b = -r_b A. Only the conditional columns carry a
     stage-2 gradient; every other column passes its gradient to its cluster.
     """
-    shifts, A2 = params["shifts"], params["stage2.A"]
-
-    S1, U1, norms1 = _flat_forward(params, "stage1.", X)
-
-    U2, norms2 = _unit_rows(shifted_projection(A2, params["stage2.b"], shifts, X, info.blocks))
-    pair2 = _pair_params(params, "stage2.")
-    dets2 = params["stage2.detectors"]
-    S, t_c, t_lc = combine_matrix(S1, stage2_scores(pair2, dets2, U2, info), info)
+    shifts = params["shifts"]
+    stage1, stage2 = _forward_params(params, "stage1."), _forward_params(params, "stage2.")
+    A2, _, pair2, dets2 = stage2
+    S, (S1, U1, norms1, U2, norms2, t_c, t_lc) = hier_forward(stage1, stage2, shifts, info, X)
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)
     loss = (1.0 - alpha) * loss_lan
@@ -337,10 +306,10 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
         loss += alpha * loss_clu
         G1 += alpha * G_clu
 
-    grads = _flat_stage_grads(params, "stage1.", X, G1, U1, norms1)
+    grads = _flat_stage_grads(stage1, "stage1.", X, G1, U1, norms1)
 
     # Stage 2 backpropagates through the padded (B, N, m) layout of
-    # stage2_scores; the padded slots carry zero score gradient.
+    # hier.stage2_scores; the padded slots carry zero score gradient.
     g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
         pair2, dets2[info.pad_cols], U2, G2.reshape(N, B, m).transpose(1, 0, 2)
     )
@@ -401,7 +370,8 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; Lambda/Gamma re-symmetrized afterwards."""
+    """One bias-corrected Adam update into new arrays (checkpoints rely on
+    that); Lambda/Gamma re-symmetrized afterwards."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     out = {}
@@ -412,7 +382,7 @@ def adam_step(
         m_hat = state.m[key] / (1.0 - b1 ** state.t)
         v_hat = state.v[key] / (1.0 - b2 ** state.t)
         new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if _is_symmetric_key(key) and new.ndim == 2:
+        if key.split(".")[-1] in ("Lambda", "Gamma") and new.ndim == 2:
             new = 0.5 * (new + new.T)
         out[key] = new
     return out
@@ -472,10 +442,6 @@ class TrainResult:
     best_index: int
     seed: int
     diverged: bool = False
-
-
-def _copy_params(params):
-    return {k: p.copy() for k, p in params.items()}
 
 
 def dev_evaluator(
@@ -555,7 +521,7 @@ def train(
                 lr=lr,
                 train_loss=train_loss,
                 dev_losses=evaluate_dev(backend),
-                params=_copy_params(params),
+                params=params,
             )
         )
 
@@ -595,16 +561,13 @@ def train(
     def best_checkpoint():
         return min(checkpoints, key=lambda c: (c.avg_dev, c.index))
 
-    best = best_checkpoint()
-    params = _copy_params(best.params)
-    set_params(backend, params)
-
+    params = best_checkpoint().params
     n_ft, lr_ft = config.finetune
     if not diverged and n_ft > 0:
         run_stage(n_ft, lr_ft)
 
     best = best_checkpoint()
-    set_params(backend, _copy_params(best.params))
+    set_params(backend, {k: p.copy() for k, p in best.params.items()})
     return TrainResult(
         backend=backend,
         log=checkpoints,

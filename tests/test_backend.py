@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -328,13 +329,12 @@ class TestInitHier:
         rng = np.random.default_rng(14)
         train, cmap, _ = self._clustered_data(rng)
         backend = init_hier(train, cmap, None, 2, 3)
-        x = train.vectors[0]
-        L_c, L_lc = backend.stage_scores(x[None, :])
-        from langrec.hier import combine_matrix
-
-        base = combine_matrix(L_c, L_lc, backend.combine)[0]
-        bumped = combine_matrix(L_c, L_lc + 0.5, backend.combine)[0]
-        assert np.all(bumped > base)
+        x = train.vectors[0][None, :]
+        base = backend.score_matrix(x)
+        # A larger stage-2 offset k raises every conditional score by 0.5.
+        pair2 = backend.stage2.params
+        backend.stage2.params = dataclasses.replace(pair2, k=pair2.k + 0.5)
+        assert np.all(backend.score_matrix(x) > base)
 
     def test_other_cluster_shift_does_not_leak(self):
         rng = np.random.default_rng(15)

@@ -5,7 +5,7 @@ import pytest
 
 from langrec.cli import main
 from langrec.clustering import merges_to_tsv, plda_distance_matrix
-from langrec.dataio import load_embeddings, per_language_means
+from langrec.dataio import EmbeddingSet, load_embeddings, per_language_means, save_embeddings
 from langrec.backend import FlatBackend, GenerativeBackend
 from langrec.hier import HierBackend
 from langrec.modelio import load_model, save_model
@@ -288,6 +288,31 @@ class TestScoreCommand:
         bad.write_text(json.dumps(doc))
         data = workdir / "data"
         assert main(["score", str(bad), str(data / "test.tsv"), str(tmp_path / "o.tsv")]) == 2
+
+    def score_rows(self, workdir, tmp_path, kind, X):
+        """Exit code of `langrec score` with the model of this kind on the rows X."""
+        n = len(X)
+        path = tmp_path / "rows.tsv"
+        save_embeddings(EmbeddingSet([f"r{i}" for i in range(n)], ["c0_l0"] * n, ["d"] * n, X), path)
+        return main(["score", str(workdir / f"{kind}.json"), str(path), str(tmp_path / "o.tsv")])
+
+    @pytest.mark.parametrize("kind", ["plda", "dplda", "hdplda"])
+    def test_degenerate_row_exits_1(self, workdir, tmp_path, capsys, kind):
+        # x0 = -A^+ b is mapped to the zero vector, which has no direction.
+        backend, _ = load_model(workdir / f"{kind}.json")
+        pre = (backend.stage1 if kind == "hdplda" else backend).preproc
+        x0 = -np.linalg.pinv(pre.A) @ pre.b
+        X = np.vstack([load_embeddings(workdir / "data" / "test.tsv").vectors[:2], x0])
+        assert self.score_rows(workdir, tmp_path, kind, X) == 1
+        err = capsys.readouterr().err
+        assert "degenerate embedding" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["plda", "dplda", "hdplda"])
+    def test_wrong_dimension_exits_1(self, workdir, tmp_path, capsys, kind):
+        X = load_embeddings(workdir / "data" / "test.tsv").vectors[:3, :-1]
+        assert self.score_rows(workdir, tmp_path, kind, X) == 1
+        err = capsys.readouterr().err
+        assert "expected dim 12, got 11" in err and "Traceback" not in err
 
     def score_model_doc(self, workdir, tmp_path, doc):
         bad = tmp_path / "bad_model.json"

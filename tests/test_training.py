@@ -228,6 +228,16 @@ class TestGradientsFlat:
             assert np.linalg.norm(np.atleast_1d(g)) < 1e-12
 
 
+def flat_backend(p, labels):
+    """The FlatBackend holding the parameter dict p."""
+    return FlatBackend(
+        preproc=AffinePreproc(A=p["A"], b=p["b"]),
+        params=PairScoreParams(p["Lambda"], p["Gamma"], p["c"], float(p["k"])),
+        detector_labels=labels,
+        detectors=p["detectors"],
+    )
+
+
 def build_hier_backend(rng, in_dim=8, out1=3, out2=3, singleton=False):
     """Hand-built 2-cluster hierarchical backend with random parameters."""
     if singleton:
@@ -236,20 +246,8 @@ def build_hier_backend(rng, in_dim=8, out1=3, out2=3, singleton=False):
         cmap = cluster_priors({"a0": ("a0", "a1"), "b0": ("b0", "b1")})
     langs = cmap.languages
     clusters = cmap.cluster_names
-    p1 = random_flat_params(rng, in_dim, out1, len(clusters))
-    p2 = random_flat_params(rng, in_dim, out2, len(langs))
-    stage1 = FlatBackend(
-        preproc=AffinePreproc(A=p1["A"], b=p1["b"]),
-        params=PairScoreParams(p1["Lambda"], p1["Gamma"], p1["c"], float(p1["k"])),
-        detector_labels=clusters,
-        detectors=p1["detectors"],
-    )
-    stage2 = FlatBackend(
-        preproc=AffinePreproc(A=p2["A"], b=p2["b"]),
-        params=PairScoreParams(p2["Lambda"], p2["Gamma"], p2["c"], float(p2["k"])),
-        detector_labels=langs,
-        detectors=p2["detectors"],
-    )
+    stage1 = flat_backend(random_flat_params(rng, in_dim, out1, len(clusters)), clusters)
+    stage2 = flat_backend(random_flat_params(rng, in_dim, out2, len(langs)), langs)
     shifts = rng.standard_normal((len(clusters), in_dim)) * 0.5
     return HierBackend(stage1=stage1, stage2=stage2, shifts=shifts, cluster_map=cmap)
 
@@ -290,7 +288,7 @@ class TestGradientsHier:
         S = backend.score_matrix(X)
         y = np.zeros(5, dtype=np.intp)
         loss, _ = hier_loss_grads(params, info, X, y, pi=0.1, alpha=0.0)
-        assert loss == pytest.approx(bce_loss(S, y, 0.1), rel=1e-12)
+        assert loss == bce_loss(S, y, 0.1)
 
     def test_row_at_singleton_shift_scores_and_trains(self):
         # With stage2.b = 0 a row equal to the singleton cluster's shift has a
@@ -319,7 +317,63 @@ class TestGradientsHier:
             train(backend, train_set, [], cfg)
 
 
+def test_flat_forward_matches_score_matrix():
+    rng = np.random.default_rng(8)
+    params = random_flat_params(rng, 8, 3, 4)
+    X = rng.standard_normal((5, 8))
+    S = flat_backend(params, ("w", "x", "y", "z")).score_matrix(X)
+    y = np.arange(5) % 4
+    loss, _ = flat_loss_grads(params, X, y, pi=0.1)
+    assert loss == bce_loss(S, y, 0.1)
+
+
+def zero_norm_row(A, b, shift=0.0):
+    """The row x with A (x - shift) + b = 0, which has no direction to keep."""
+    return shift - np.linalg.pinv(A) @ b
+
+
+class TestDegenerateRow:
+    """A row that length normalisation cannot scale is bad data when scoring
+    (ValueError) and a divergence when training (FloatingPointError)."""
+
+    def test_flat(self):
+        rng = np.random.default_rng(30)
+        params = random_flat_params(rng, 4, 2, 3)
+        X = np.vstack([rng.standard_normal((2, 4)), zero_norm_row(params["A"], params["b"])])
+        with pytest.raises(ValueError, match="degenerate embedding"):
+            flat_backend(params, ("x", "y", "z")).score_matrix(X)
+        with pytest.raises(FloatingPointError, match="degenerate embedding"):
+            flat_loss_grads(params, X, np.array([0, 1, 2]), 0.1)
+
+    @pytest.mark.parametrize("stage", ["stage1.", "stage2."])
+    def test_hier(self, stage):
+        rng = np.random.default_rng(31)
+        backend = build_hier_backend(rng)
+        params = get_params(backend)
+        shift = backend.shifts[backend.combine.blocks[0]] if stage == "stage2." else 0.0
+        x0 = zero_norm_row(params[stage + "A"], params[stage + "b"], shift)
+        X = np.vstack([rng.standard_normal((2, 8)), x0])
+        with pytest.raises(ValueError, match="degenerate embedding"):
+            backend.score_matrix(X)
+        with pytest.raises(FloatingPointError, match="degenerate embedding"):
+            hier_loss_grads(params, backend.combine, X, np.array([0, 1, 2]), 0.1, 0.0)
+
+
 class TestAdam:
+    def test_inputs_unchanged(self):
+        # Checkpoints keep adam_step's dictionaries without copying them.
+        rng = np.random.default_rng(11)
+        params = {"Lambda": random_symmetric(rng, 3), "k": np.array(0.5)}
+        grads = {"Lambda": rng.standard_normal((3, 3)), "k": np.array(-1.0)}
+        before = copy.deepcopy((params, grads))
+        state = adam_init(params)
+        for _ in range(3):
+            new = adam_step(params, grads, state, lr=0.01)
+            assert all(new[key] is not params[key] for key in params)
+        for old, now in zip(before, (params, grads)):
+            assert old.keys() == now.keys()
+            assert all(np.array_equal(old[key], now[key]) for key in old)
+
     def test_first_step_is_signed_lr(self):
         params = {"w": np.array([1.0, -2.0, 3.0])}
         grads = {"w": np.array([0.5, -0.25, 1e-3])}
@@ -417,6 +471,15 @@ class TestTrainLoop:
         finetune=(10, 1e-4),
         checkpoint_every=10,
     )
+
+    def test_returned_backend_shares_no_array_with_the_log(self):
+        # Checkpoints hold Adam's arrays uncopied; the final write-back copies.
+        train_set, dev_set, trials, backend = small_training_problem()
+        result = train(backend, train_set, [(dev_set, trials)], self.CFG, seed=0)
+        b = result.backend
+        held = [b.preproc.A, b.preproc.b, b.params.c, b.detectors]
+        logged = [p for cp in result.log for p in cp.params.values()]
+        assert not any(np.shares_memory(h, p) for h in held for p in logged)
 
     def test_returned_model_not_worse_than_init(self):
         train_set, dev_set, trials, backend = small_training_problem()
