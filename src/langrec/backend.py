@@ -9,47 +9,78 @@ Both score every sample against every detector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataio import EmbeddingSet, group_rows
+from .dataio import EmbeddingSet, group_rows, read_only
 from .plda import (
     EnrollmentStats,
     ExactLlrTables,
     PairScoreParams,
+    PairTables,
     PldaModel,
     apply_llr_tables,
+    apply_pair_tables,
     em_train,
     enrollment_stats,
     exact_llr_tables,
-    pair_score_matrix,
+    pair_tables,
     to_pair_params,
 )
 from .preproc import AffinePreproc, fit_lda, normalized_projection
 
 
-def flat_forward(A, b, pair, detectors, X):
+def flat_forward(A, b, tables: PairTables, X):
     """The flat forward pass of scoring and training: the scores (N, L) of
-    every raw row of X against every detector, and U and the norms of
-    normalized_projection(A, b, X) for the backward pass."""
+    every raw row of X against the detectors of the pair_tables, and U and
+    the norms of normalized_projection(A, b, X) for the backward pass."""
     U, norms = normalized_projection(A, b, X)
-    return pair_score_matrix(pair, detectors, U), U, norms
+    return apply_pair_tables(tables, U), U, norms
+
+
+def derived(owner, build, *sources):
+    """build(*sources), kept on owner until one of the sources is replaced.
+
+    A backend holds its parameters in read-only arrays and frozen
+    dataclasses, so replacing one is the only way to change it, and the
+    identities of the sources key what is kept. An owner keeps one result.
+    """
+    kept = owner.__dict__.get("_derived")
+    if kept is None or not all(map(operator.is_, kept[0], sources)):
+        kept = (sources, build(*sources))
+        owner.__dict__["_derived"] = kept
+    return kept[1]
+
+
+def freezing_setattr(*names):
+    """A __setattr__ that stores the arrays assigned to names read-only."""
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, read_only(value) if name in names else value)
+
+    return __setattr__
 
 
 @dataclass
 class FlatBackend:
-    """Preprocessing chain, pair-score parameters, and detector vectors."""
+    """Preprocessing chain, pair-score parameters, and detector vectors.
+
+    The detector matrix is read-only; the scoring tables are derived from
+    the parameters and rebuilt after any of them is replaced.
+    """
 
     preproc: AffinePreproc
     params: PairScoreParams
     detector_labels: tuple[str, ...]
     detectors: np.ndarray  # (L, out_dim)
 
+    __setattr__ = freezing_setattr("detectors")
+
     def __post_init__(self):
         self.detector_labels = tuple(self.detector_labels)
-        self.detectors = np.asarray(self.detectors, dtype=np.float64)
         L = len(self.detector_labels)
         if len(set(self.detector_labels)) != L:
             raise ValueError("detector labels must be unique")
@@ -65,9 +96,13 @@ class FlatBackend:
         return len(self.detector_labels)
 
     @property
+    def tables(self) -> PairTables:
+        return derived(self, pair_tables, self.params, self.detectors)
+
+    @property
     def forward_params(self) -> tuple:
-        """flat_forward's (A, b, pair, detectors)."""
-        return self.preproc.A, self.preproc.b, self.params, self.detectors
+        """flat_forward's (A, b, tables)."""
+        return self.preproc.A, self.preproc.b, self.tables
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         """Scores of every row of X (raw embedding space) against every detector."""

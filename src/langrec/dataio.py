@@ -271,6 +271,14 @@ def per_language_means(
     return means
 
 
+def read_only(a) -> np.ndarray:
+    """a as a float64 array that refuses in-place writes; an array that
+    already is float64 is frozen itself, not copied."""
+    a = np.asarray(a, dtype=np.float64)
+    a.setflags(write=False)
+    return a
+
+
 def check_weights(weights: np.ndarray | None, n: int) -> np.ndarray:
     """Per-record weights as a float array: all ones for None, otherwise one
     finite positive weight for each of the n records, or ValueError."""

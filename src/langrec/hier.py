@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .clustering import ClusterMap
 from .dataio import EmbeddingSet, per_language_means
-from .backend import FlatBackend, flat_forward, init_from_generative
-from .plda import pair_score_matrix
-from .preproc import unit_rows
+from .backend import FlatBackend, derived, flat_forward, freezing_setattr, init_from_generative
+from .plda import PairTables, pair_tables
+from .preproc import row_norms
 
 
 def prior_odds(p: float) -> float:
@@ -60,10 +61,8 @@ class HierCombineInfo:
     detector order, are the conditional columns; P_c and P_lc (K,) hold
     their cluster's prior odds and their prior odds within it. Stage 2 runs
     only on the blocks, the clusters of two or more languages: blocks (B,)
-    holds their stage-1 columns and pad_cols (B, m), with m the largest
-    block size, the stage-2 columns of each block's members, padded with
-    column 0. pad_pos (K,) is each conditional column's position in that
-    layout flattened: pad_cols.ravel()[pad_pos] == cond.
+    holds their stage-1 columns, and cond_block (K,) the block of each
+    conditional column, so blocks[cond_block] == lang_cluster_idx[cond].
     """
 
     lang_cluster_idx: np.ndarray
@@ -71,12 +70,55 @@ class HierCombineInfo:
     P_c: np.ndarray
     P_lc: np.ndarray
     blocks: np.ndarray
-    pad_cols: np.ndarray
-    pad_pos: np.ndarray
+    cond_block: np.ndarray
 
     @classmethod
     def from_backend(cls, backend: "HierBackend") -> "HierCombineInfo":
         return backend.combine
+
+
+class Stage2Tables(NamedTuple):
+    """Per-model tables of the stage-2 conditional scores; see stage2_tables."""
+
+    A: np.ndarray  # (d, D) stage-2 affine map
+    b: np.ndarray  # (d,)
+    pair: PairTables  # of the conditional columns' detectors v_j
+    P: np.ndarray  # (B, d): A s for the shift s of each block
+    P_Gamma: np.ndarray  # (B, d): P Gamma
+    P_c: np.ndarray  # (B,): P c
+    P_W: np.ndarray  # (K,): p_b' W_j for the block b of column j
+
+
+def stage2_tables(A, b, pair, detectors, shifts, info: HierCombineInfo) -> Stage2Tables:
+    """The model side of stage2_scores (pair needs .Lambda, .Gamma, .c, .k).
+    All shifts are projected before the blocks are picked, so a block's
+    tables do not depend on how many clusters are blocks."""
+    tables = pair_tables(pair, detectors[info.cond])
+    P = (shifts @ A.T)[info.blocks]
+    P_W = np.einsum("kd,dk->k", P[info.cond_block], tables.W)
+    return Stage2Tables(A, b, tables, P, P @ pair.Gamma, P @ pair.c, P_W)
+
+
+def stage2_scores(t: Stage2Tables, info: HierCombineInfo, X):
+    """Conditional scores (N, K) of the columns info.cond, each scoring the
+    unit stage-2 input u = D_b / n_b of its block b, D_b = Z - P_b with
+    Z = A x + b, and the backward pass's parts (Z, n (N, B),
+    cross = 2 u'Lambda v_j (N, K), quad = u'Gamma u (N, B), lin = c'u (N, B)).
+
+    D_b is formed only for n_b and D_b'Gamma D_b = D_b . (Z Gamma - P_b Gamma);
+    the cross term is 2 (Z Lambda v_j - p_b'Lambda v_j) / n_b for all columns
+    in one (N, K) product. Nothing is padded and no d x d product is per block.
+    """
+    pair = t.pair
+    Z = X @ t.A.T + t.b
+    D = Z[:, None, :] - t.P
+    norms = row_norms(D)
+    quad = (np.einsum("nbd,nd->nb", D, Z @ pair.Gamma) - np.einsum("nbd,bd->nb", D, t.P_Gamma))
+    quad /= norms**2
+    lin = ((Z @ pair.c)[:, None] - t.P_c) / norms
+    cross = (Z @ pair.W - t.P_W) / norms[:, info.cond_block]
+    S2 = cross + (quad + lin)[:, info.cond_block] + pair.const
+    return S2, (Z, norms, cross, quad, lin)
 
 
 @dataclass
@@ -85,7 +127,7 @@ class HierBackend:
 
     stage1 detectors are clusters; stage2 detectors are languages with
     parameters shared across clusters. shifts rows align with stage1
-    detector order and live in raw embedding space.
+    detector order and live in raw embedding space, in a read-only array.
     """
 
     stage1: FlatBackend
@@ -94,8 +136,9 @@ class HierBackend:
     cluster_map: ClusterMap
     combine: HierCombineInfo = field(init=False, repr=False)
 
+    __setattr__ = freezing_setattr("shifts")
+
     def __post_init__(self):
-        self.shifts = np.asarray(self.shifts, dtype=np.float64)
         cmap = self.cluster_map
         clusters = self.stage1.detector_labels
         if tuple(sorted(clusters)) != cmap.cluster_names:
@@ -114,20 +157,14 @@ class HierBackend:
         cond = np.array(
             [j for j, l in enumerate(labels) if cmap.p_l_given_c[l] < 1.0], dtype=np.intp
         )
-        blocks, block = np.unique(idx[cond], return_inverse=True)
-        slot = np.array(
-            [np.count_nonzero(block[:k] == b) for k, b in enumerate(block)], dtype=np.intp
-        )
-        pad_cols = np.zeros((blocks.size, slot.max(initial=-1) + 1), dtype=np.intp)
-        pad_cols[block, slot] = cond
+        blocks, cond_block = np.unique(idx[cond], return_inverse=True)
         self.combine = HierCombineInfo(
             lang_cluster_idx=idx,
             cond=cond,
             P_c=np.array([prior_odds(cmap.p_c[cmap.assignment[labels[j]]]) for j in cond]),
             P_lc=np.array([prior_odds(cmap.p_l_given_c[labels[j]]) for j in cond]),
             blocks=blocks,
-            pad_cols=pad_cols,
-            pad_pos=block * pad_cols.shape[1] + slot,
+            cond_block=cond_block,
         )
 
     @property
@@ -139,67 +176,42 @@ class HierBackend:
         return len(self.stage2.detector_labels)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        return hier_forward(
-            self.stage1.forward_params, self.stage2.forward_params, self.shifts, self.combine, X
-        )[0]
+        s2 = self.stage2
+        sources = (s2.preproc.A, s2.preproc.b, s2.params, s2.detectors, self.shifts, self.combine)
+        t2 = derived(self, stage2_tables, *sources)
+        return hier_forward(self.stage1.forward_params, t2, self.combine, X)[0]
 
 
-def hier_forward(stage1, stage2, shifts, info: HierCombineInfo, X):
-    """The hierarchical forward pass of scoring and training; each stage is
-    flat_forward's (A, b, pair, detectors). Returns the scores (N, L) and,
-    for the backward pass, stage 1's flat_forward outputs, the stage-2 rows
-    U2 (B, N, d2) of every block with their norms, and combine_matrix's
-    a_c - lse and a_lc - lse: (S, (S1, U1, norms1, U2, norms2, t_c, t_lc))."""
+def hier_forward(stage1, stage2: Stage2Tables, info: HierCombineInfo, X):
+    """The hierarchical forward pass of scoring and training, on stage 1's
+    (A, b, pair_tables) and the stage2_tables. Returns the scores (N, L) and
+    the backward pass's (S1, U1, norms1, parts2, e_c, e_lc): flat_forward's
+    outputs, stage2_scores's parts and combine_matrix's exponentials."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     S1, U1, norms1 = flat_forward(*stage1, X)
-    A2, b2, pair2, dets2 = stage2
-    U2, norms2 = unit_rows(shifted_projection(A2, b2, shifts, X, info.blocks))
-    S, t_c, t_lc = combine_matrix(S1, stage2_scores(pair2, dets2, U2, info), info)
-    return S, (S1, U1, norms1, U2, norms2, t_c, t_lc)
-
-
-def shifted_projection(A, b, shifts, X, blocks) -> np.ndarray:
-    """Affine outputs A (x - s_c) + b of every row of X under the shifts of the
-    clusters `blocks`: (B, N, d).
-
-    Evaluated as (A x + b) - A s_c, so the batch is projected once and each
-    block subtracts one projected shift. All shifts are projected before the
-    blocks are picked, so a block's result does not depend on how many
-    clusters are blocks.
-    """
-    return (X @ A.T + b)[None, :, :] - (shifts @ A.T)[blocks][:, None, :]
-
-
-def stage2_scores(params, detectors, U2, info: HierCombineInfo) -> np.ndarray:
-    """Conditional scores (N, K) of the columns info.cond: each language
-    scores the length-normalised stage-2 rows U2[b] of its own block b (U2 is
-    (B, N, d)).
-
-    All blocks are scored in one pair_score_matrix pass against their padded
-    detectors, (B, N, m); each conditional column is then gathered from its
-    position in that layout.
-    """
-    S = pair_score_matrix(params, detectors[info.pad_cols], U2)
-    B, N, m = S.shape
-    return S.transpose(1, 0, 2).reshape(N, B * m).take(info.pad_pos, axis=1)
+    S2, parts2 = stage2_scores(stage2, info, X)
+    S, e_c, e_lc = combine_matrix(S1, S2, info)
+    return S, (S1, U1, norms1, parts2, e_c, e_lc)
 
 
 def combine_matrix(L_c, L_lc, info: HierCombineInfo):
     """Log-domain combination of (N, C) cluster and (N, K) conditional scores.
 
-    Returns (scores (N, L), a_c - lse, a_lc - lse), where a_c and a_lc are
-    the log posterior-odds terms of the conditional columns and
-    lse = log(e^a_c + e^a_lc + 1); the backward pass needs the last two. A
-    language alone in its cluster scores its cluster score L_c exactly.
+    Returns (scores (N, L), e^(a_c - lse), e^(a_lc - lse)), where a_c and
+    a_lc are the log posterior-odds terms of the conditional columns and
+    lse = log(e^a_c + e^a_lc + 1), whose exponentials give the last two for
+    the backward pass. A language alone in its cluster scores L_c exactly.
     """
     S = L_c.take(info.lang_cluster_idx, axis=1)
     Lc_cond = S.take(info.cond, axis=1)
     a_c = Lc_cond + np.log(info.P_c)[None, :]
     a_lc = L_lc + np.log(info.P_lc)[None, :]
     m = np.maximum(np.maximum(a_c, a_lc), 0.0)
-    lse = m + np.log(np.exp(a_c - m) + np.exp(a_lc - m) + np.exp(-m))
+    e_c, e_lc = np.exp(a_c - m), np.exp(a_lc - m)
+    total = e_c + e_lc + np.exp(-m)
+    lse = m + np.log(total)
     S[:, info.cond] = Lc_cond + L_lc + np.log(info.P_c + info.P_lc + 1.0)[None, :] - lse
-    return S, a_c - lse, a_lc - lse
+    return S, e_c / total, e_lc / total
 
 
 def init_hier(

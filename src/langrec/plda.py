@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .dataio import check_weights, class_stats, group_rows
+from .dataio import check_weights, class_stats, group_rows, read_only
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +112,8 @@ class PldaModel:
 
 @dataclass(frozen=True)
 class PairScoreParams:
-    """Parameters of the single-enrollment pairwise score polynomial."""
+    """Parameters of the single-enrollment pairwise score polynomial, in
+    read-only arrays."""
 
     Lambda: np.ndarray
     Gamma: np.ndarray
@@ -131,9 +133,9 @@ class PairScoreParams:
             and np.isfinite(self.k)
         ):
             raise ValueError("pair-score parameters must be finite")
-        object.__setattr__(self, "Lambda", Lam)
-        object.__setattr__(self, "Gamma", Gam)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "Lambda", read_only(Lam))
+        object.__setattr__(self, "Gamma", read_only(Gam))
+        object.__setattr__(self, "c", read_only(c))
         object.__setattr__(self, "k", float(self.k))
 
     @property
@@ -396,26 +398,40 @@ def pair_score(params: PairScoreParams, w_l: np.ndarray, w: np.ndarray) -> float
     )
 
 
+class PairTables(NamedTuple):
+    """Per-model tables of pairwise scoring against fixed detectors.
+
+    The score of a test row u against detector j is
+    u'W_j + u'Gamma u + u'c + const_j; see pair_tables.
+    """
+
+    Gamma: np.ndarray  # (d, d)
+    c: np.ndarray  # (d,)
+    W: np.ndarray  # (d, L): 2 Lambda D'
+    const: np.ndarray  # (L,): d_j'Gamma d_j + c'd_j + k
+
+
+def pair_tables(params: PairScoreParams, detectors: np.ndarray) -> PairTables:
+    """The detector side of the pairwise scores of the detector rows D (L, d),
+    computed once per model. Reads only params.Lambda, .Gamma, .c and .k;
+    neither matrix need be symmetric."""
+    D = np.atleast_2d(np.asarray(detectors, dtype=np.float64))
+    const = ((D @ params.Gamma) * D).sum(axis=1) + D @ params.c + params.k
+    return PairTables(params.Gamma, params.c, 2.0 * params.Lambda @ D.T, const)
+
+
+def apply_pair_tables(tables: PairTables, U: np.ndarray) -> np.ndarray:
+    """Pairwise scores (N, L) of every test row in U against the tables' detectors."""
+    U = np.atleast_2d(np.asarray(U, dtype=np.float64))
+    own = ((U @ tables.Gamma) * U).sum(axis=1) + U @ tables.c
+    return U @ tables.W + own[:, None] + tables.const
+
+
 def pair_score_matrix(
     params: PairScoreParams, detectors: np.ndarray, U: np.ndarray
 ) -> np.ndarray:
-    """Pairwise scores of every test row in U against every detector row: (N, L).
-
-    Leading axes stack independent blocks: U (..., N, d) and detectors
-    (..., L, d) give (..., N, L). Reads only params.Lambda, .Gamma, .c and
-    .k; neither matrix need be symmetric.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    detectors = np.atleast_2d(np.asarray(detectors, dtype=np.float64))
-    cross = 2.0 * U @ params.Lambda @ np.swapaxes(detectors, -1, -2)
-    q_u = ((U @ params.Gamma) * U).sum(axis=-1)
-    q_d = ((detectors @ params.Gamma) * detectors).sum(axis=-1)
-    lin_u = U @ params.c
-    lin_d = detectors @ params.c
-    return (
-        cross + q_u[..., :, None] + q_d[..., None, :] + lin_u[..., :, None]
-        + lin_d[..., None, :] + params.k
-    )
+    """Pairwise scores of every test row in U against every detector row: (N, L)."""
+    return apply_pair_tables(pair_tables(params, detectors), U)
 
 
 def approx_llr(params: PairScoreParams, enroll: np.ndarray, test: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataio import check_weights, class_stats, group_rows
+from .dataio import check_weights, class_stats, group_rows, read_only
 
 logger = logging.getLogger(__name__)
 
@@ -23,7 +23,8 @@ _RIDGE_SCALE = 1e-6
 
 @dataclass(frozen=True)
 class AffinePreproc:
-    """Affine map y = A x + b; callers length-normalize the output."""
+    """Affine map y = A x + b in read-only arrays; callers length-normalize
+    the output."""
 
     A: np.ndarray
     b: np.ndarray
@@ -37,8 +38,8 @@ class AffinePreproc:
             raise ValueError("require 1 <= out_dim <= in_dim")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("affine parameters must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "A", read_only(A))
+        object.__setattr__(self, "b", read_only(b))
 
     @property
     def in_dim(self) -> int:
@@ -57,11 +58,17 @@ class DegenerateEmbeddingError(ValueError, FloatingPointError):
     """Near-zero norm: bad data when scoring, a divergence when training."""
 
 
-def unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z scaled to unit norm along its last axis, and the norms (for backward passes)."""
+def row_norms(Z: np.ndarray) -> np.ndarray:
+    """Norms of Z along its last axis; DegenerateEmbeddingError if one is near zero."""
     norms = np.linalg.norm(Z, axis=-1)
     if np.any(norms < LENGTH_NORM_EPS):
         raise DegenerateEmbeddingError("degenerate embedding: near-zero norm")
+    return norms
+
+
+def unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z scaled to unit norm along its last axis, and the norms (for backward passes)."""
+    norms = row_norms(Z)
     return Z / norms[..., None], norms
 
 

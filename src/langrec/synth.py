@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .dataio import (
     per_language_means,
     trial_index,
 )
-from .hier import init_hier
+from .hier import HierBackend, init_hier
 from .metrics import bootstrap_ci, evaluate, subset_trials
 from .training import TrainConfig, check_count, dev_evaluator, multi_seed_train
 
@@ -127,7 +127,21 @@ def tune_cluster_threshold(
     pi: float,
     em_iters: int = 50,
 ) -> tuple[float, ClusterMap]:
-    """Pick the merge threshold whose hierarchy has the best dev loss at init.
+    """The threshold and cluster map of tune_hierarchy."""
+    threshold, backend = tune_hierarchy(train, dev_sets, weights, gen_backend, pi, em_iters)
+    return threshold, backend.cluster_map
+
+
+def tune_hierarchy(
+    train: EmbeddingSet,
+    dev_sets,
+    weights,
+    gen_backend,
+    pi: float,
+    em_iters: int = 50,
+) -> tuple[float, HierBackend]:
+    """Pick the merge threshold whose hierarchy has the best dev loss at init,
+    and return it with that hierarchy's initialised backend.
 
     Candidates come from the observed merge-distance sequence (one between
     every pair of consecutive merge distances, plus the extremes).
@@ -157,11 +171,14 @@ def tune_cluster_threshold(
             continue
         loss = float(np.mean(evaluate_dev(backend)))
         if best is None or loss < best[0]:
-            best = (loss, threshold, cmap)
+            best = (loss, threshold, backend)
     if best is None:
         raise ValueError("no viable clustering threshold (degenerate hierarchy everywhere)")
-    logger.info("tuned cluster threshold %.4g (%d clusters)", best[1], best[2].n_clusters())
-    return best[1], best[2]
+    _, threshold, backend = best
+    logger.info(
+        "tuned cluster threshold %.4g (%d clusters)", threshold, backend.cluster_map.n_clusters()
+    )
+    return threshold, backend
 
 
 @dataclass
@@ -198,14 +215,17 @@ def run_comparison(
     dev_trials = generate_trials(dev_set, detectors)
     dev_sets = [(dev_set, dev_trials)]
 
-    _, cmap = tune_cluster_threshold(
+    _, tuned = tune_hierarchy(
         train_set, dev_sets, weights, plda_backend, train_config.pi, em_iters=em_iters
     )
+    cmap = tuned.cluster_map
 
     dplda = multi_seed_train(generative.flat_backend, train_set, dev_sets, train_config).backend
 
     def make_hier():
-        return init_hier(train_set, cmap, weights, em_iters=em_iters)
+        # train() replaces the parameters of the backend it is given, so each
+        # seed gets its own stages; the read-only arrays are shared.
+        return replace(tuned, stage1=replace(tuned.stage1), stage2=replace(tuned.stage2))
 
     hdplda = multi_seed_train(make_hier, train_set, dev_sets, train_config).backend
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from .backend import FlatBackend, flat_forward
 from .dataio import EmbeddingSet, TrialSet, group_rows, trial_index
-from .hier import HierBackend, HierCombineInfo, hier_forward
+from .hier import HierBackend, HierCombineInfo, hier_forward, stage2_tables
 from .metrics import actual_dcf
-from .plda import PairScoreParams
+from .plda import PairScoreParams, pair_tables
 from .preproc import AffinePreproc
 
 logger = logging.getLogger(__name__)
@@ -194,8 +194,8 @@ def set_params(backend, params: dict[str, np.ndarray]) -> None:
 
 
 def _forward_params(params, prefix):
-    """flat_forward's (A, b, pair, detectors) of a stage, unchecked: finite-difference checks
-    perturb Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
+    """(A, b, pair, detectors) of a stage, unchecked: finite-difference checks perturb
+    Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
     pair = SimpleNamespace(
         Lambda=params[prefix + "Lambda"],
         Gamma=params[prefix + "Gamma"],
@@ -206,38 +206,20 @@ def _forward_params(params, prefix):
 
 
 def _pair_backward(pair, detectors, U, G):
-    """Gradients of sum(G * S) through the pairwise score matrix S.
-
-    Leading axes stack independent blocks as in pair_score_matrix: U
-    (..., N, d), detectors (..., L, d) and G (..., N, L). g_det and g_U keep
-    the blocks; the parameter gradients sum over them, each as one product
-    over the stacked rows. Exact for arbitrary (possibly asymmetric) stored
-    Lambda/Gamma, which keeps entry-wise finite-difference checks honest.
-    """
-    row_sum = G.sum(axis=-1)
-    col_sum = G.sum(axis=-2)
-    Uf, Df = _stacked_rows(U), _stacked_rows(detectors)
-    # sum_b (2 U_b' G_b) D_b: the blocks 2 U_b' G_b side by side times the stacked D_b.
-    g_Lambda = _stacked_rows(_T(2.0 * _T(U) @ G)).T @ Df
-    g_Gamma = _stacked_rows(U * row_sum[..., None]).T @ Uf + (
-        _stacked_rows(detectors * col_sum[..., None]).T @ Df
-    )
-    g_c = Uf.T @ row_sum.ravel() + Df.T @ col_sum.ravel()
+    """Gradients of sum(G * S) through the pairwise score matrix S of the rows
+    U (N, d) against detectors (L, d), G (N, L). Exact for arbitrary
+    (possibly asymmetric) stored Lambda/Gamma, which keeps entry-wise
+    finite-difference checks honest."""
+    row_sum = G.sum(axis=1)
+    col_sum = G.sum(axis=0)
+    g_Lambda = 2.0 * U.T @ G @ detectors
+    g_Gamma = (U * row_sum[:, None]).T @ U + (detectors * col_sum[:, None]).T @ detectors
+    g_c = U.T @ row_sum + detectors.T @ col_sum
     g_k = np.array(G.sum())
     sym_G = pair.Gamma + pair.Gamma.T
-    g_det = 2.0 * _T(G) @ U @ pair.Lambda + col_sum[..., None] * (detectors @ sym_G + pair.c)
-    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[..., None] * (U @ sym_G + pair.c)
+    g_det = 2.0 * G.T @ U @ pair.Lambda + col_sum[:, None] * (detectors @ sym_G + pair.c)
+    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[:, None] * (U @ sym_G + pair.c)
     return g_Lambda, g_Gamma, g_c, g_k, g_det, g_U
-
-
-def _T(M):
-    """Every block of M transposed: its last two axes swapped."""
-    return np.swapaxes(M, -1, -2)
-
-
-def _stacked_rows(M):
-    """The rows of every block of M (..., n, d) stacked into one (-1, d) matrix."""
-    return M.reshape(-1, M.shape[-1])
 
 
 def _lengthnorm_backward(g_U, U, norms):
@@ -264,7 +246,7 @@ def _flat_stage_grads(stage, prefix, X, G, U, norms):
 def flat_loss_grads(params, X, label_idx, pi):
     """Loss and gradients for a flat backend given its parameter dict."""
     stage = _forward_params(params, "")
-    S, U, norms = flat_forward(*stage, X)
+    S, U, norms = flat_forward(*stage[:2], pair_tables(*stage[2:]), X)
     loss, G = _bce_loss_grad(S, label_idx, pi)
     grads = _flat_stage_grads(stage, "", X, G, U, norms)
     _check_finite(loss, grads)
@@ -274,31 +256,30 @@ def flat_loss_grads(params, X, label_idx, pi):
 def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """Loss and gradients for a hierarchical backend given its parameter dict.
 
-    The forward pass is the scorer's, hier.hier_forward: it projects X once
-    for every block's shift and scores the conditional columns of every
-    block in one pass. The backward pass folds the shifts the same way as the
-    projection: with r_b = g_Zb' 1, g_A = (sum_b g_Zb)' X - sum_b r_b s_b',
-    g_b = sum_b r_b and g_s_b = -r_b A. Only the conditional columns carry a
-    stage-2 gradient; every other column passes its gradient to its cluster.
+    The forward pass is the scorer's, hier.hier_forward, on tables built
+    from params. Only the conditional columns carry a stage-2 gradient;
+    every other column passes its gradient to its cluster. Stage 2 is
+    differentiated in the form hier.stage2_scores evaluates it: with
+    D_nb = z_n - p_b, every sum over blocks or rows is an (N, B) or (N, K)
+    product with Z or P, and the projected shifts p_b = A s_b collect
+    -sum_n g_D_nb, so g_A gains sum_b g_p_b s_b' and g_s_b = A' g_p_b.
     """
     shifts = params["shifts"]
     stage1, stage2 = _forward_params(params, "stage1."), _forward_params(params, "stage2.")
     A2, _, pair2, dets2 = stage2
-    S, (S1, U1, norms1, U2, norms2, t_c, t_lc) = hier_forward(stage1, stage2, shifts, info, X)
+    t1, t2 = pair_tables(*stage1[2:]), stage2_tables(*stage2, shifts, info)
+    S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward((*stage1[:2], t1), t2, info, X)
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)
     loss = (1.0 - alpha) * loss_lan
     G_lan *= 1.0 - alpha
 
-    B, N, d2 = U2.shape
-    m = info.pad_cols.shape[1]
-    G2 = np.zeros((N, B * m))
-    G2[:, info.pad_pos] = G_lan.take(info.cond, axis=1) * (1.0 - np.exp(t_lc))
+    G2 = G_lan.take(info.cond, axis=1) * (1.0 - e_lc)
     # Each score's derivative by its cluster score is 1 - e^t_c on the
     # conditional columns and 1 on the others. A cluster sums its languages'
     # gradients; formed cluster-major, so that the stage-1 backward sums each
     # cluster's gradient over contiguous memory.
-    G_lan[:, info.cond] *= 1.0 - np.exp(t_c)
+    G_lan[:, info.cond] *= 1.0 - e_c
     G1 = (np.eye(len(shifts))[:, info.lang_cluster_idx] @ G_lan.T).T
 
     if alpha > 0.0:
@@ -308,27 +289,33 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
 
     grads = _flat_stage_grads(stage1, "stage1.", X, G1, U1, norms1)
 
-    # Stage 2 backpropagates through the padded (B, N, m) layout of
-    # hier.stage2_scores; the padded slots carry zero score gradient.
-    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(
-        pair2, dets2[info.pad_cols], U2, G2.reshape(N, B, m).transpose(1, 0, 2)
-    )
-    g_Z2 = _lengthnorm_backward(
-        _stacked_rows(g_U), _stacked_rows(U2), norms2.ravel()
-    ).reshape(B, N, d2)
-    r = g_Z2.sum(axis=1)  # (B, d2)
+    Z, n, cross, quad, lin = parts2
+    P, W, c, block = t2.P, t2.pair.W, pair2.c, info.cond_block
+    in_block = np.eye(len(info.blocks))[block]  # (K, B)
+    V = dets2[info.cond]
+    H = G2 / n[:, block]
+    h, col, R = H.sum(axis=0), G2.sum(axis=0), G2 @ in_block
+    w, r = R / n**2, R / n
+    a = ((G2 * cross) @ in_block + R * (2.0 * quad + lin)) / n**2  # (g_u . u) / n^2
+    # sum_b x_nb D_nb (N, d) and sum_n x_nb D_nb (B, d), for x = w and a
+    w_rows, a_rows = (Z * x.sum(axis=1)[:, None] - x @ P for x in (w, a))
+    w_blocks, a_blocks = (x.T @ Z - x.sum(axis=0)[:, None] * P for x in (w, a))
+    sym_G = pair2.Gamma + pair2.Gamma.T
+    g_Z = H @ W.T + w_rows @ sym_G - a_rows + r.sum(axis=1)[:, None] * c
+    g_P = a_blocks - w_blocks @ sym_G - r.sum(axis=0)[:, None] * c - in_block.T @ (h * W).T
+    Y = Z.T @ H - P[block].T * h  # (d, K): sum_n H_nj D_nb for column j's block b
     g_dets2 = np.zeros_like(dets2)
-    g_dets2[info.cond] = g_det.reshape(B * m, d2)[info.pad_pos]
+    g_dets2[info.cond] = 2.0 * Y.T @ pair2.Lambda + col[:, None] * (V @ sym_G + c)
     g_shifts = np.zeros_like(shifts)
-    g_shifts[info.blocks] = -r @ A2
+    g_shifts[info.blocks] = g_P @ A2
     grads.update(
         {
-            "stage2.A": g_Z2.sum(axis=0).T @ X - r.T @ shifts[info.blocks],
-            "stage2.b": r.sum(axis=0),
-            "stage2.Lambda": g_Lambda,
-            "stage2.Gamma": g_Gamma,
-            "stage2.c": g_c,
-            "stage2.k": g_k,
+            "stage2.A": g_Z.T @ X + g_P.T @ shifts[info.blocks],
+            "stage2.b": g_Z.sum(axis=0),
+            "stage2.Lambda": 2.0 * Y @ V,
+            "stage2.Gamma": w_rows.T @ Z - w_blocks.T @ P + (V * col[:, None]).T @ V,
+            "stage2.c": Z.T @ r.sum(axis=1) - P.T @ r.sum(axis=0) + V.T @ col,
+            "stage2.k": np.array(G2.sum()),
             "stage2.detectors": g_dets2,
             "shifts": g_shifts,
         }

@@ -343,7 +343,9 @@ class TestInitHier:
         x = train.vectors[3]
         before = backend.score_matrix(x[None])[0]
         ci_other = backend.stage1.detector_labels.index("b0")
-        backend.shifts[ci_other] = backend.shifts[ci_other] + 10.0
+        shifts = backend.shifts.copy()
+        shifts[ci_other] += 10.0
+        backend.shifts = shifts
         after = backend.score_matrix(x[None])[0]
         a_cols = [backend.detector_labels.index(l) for l in ("a0", "a1")]
         assert np.allclose(before[a_cols], after[a_cols])
@@ -367,6 +369,103 @@ class TestInitHier:
         P = np.array([prior_odds(0.5), prior_odds(0.5)])
         from langrec.hier import HierCombineInfo, combine_matrix
 
-        info = HierCombineInfo(idx, idx, P, P, idx, idx[:, None], idx)
+        info = HierCombineInfo(idx, idx, P, P, idx, idx)
         out, _, _ = combine_matrix(np.zeros((3, 2)), np.zeros((3, 2)), info)
         assert np.allclose(out, 0.0, atol=1e-14)
+
+
+def fresh_copy(backend):
+    """A backend newly built from the same parameter objects, with no tables yet."""
+    if hasattr(backend, "stage1"):
+        return type(backend)(
+            stage1=fresh_copy(backend.stage1),
+            stage2=fresh_copy(backend.stage2),
+            shifts=backend.shifts,
+            cluster_map=backend.cluster_map,
+        )
+    return dataclasses.replace(backend)
+
+
+class TestTablesFollowParameters:
+    """Scoring tables are derived from the parameters once per model. Every
+    way the package and its tests change a parameter must reach them, and an
+    in-place write, which they could not see, must raise."""
+
+    def _hier(self, seed):
+        rng = np.random.default_rng(seed)
+        train, cmap, _ = TestInitHier()._clustered_data(rng)
+        backend = init_hier(train, cmap, None, 2, 3)
+        return backend, train.vectors[:9]
+
+    def _check(self, backend, X, change):
+        backend.score_matrix(X)  # builds the tables of the old parameters
+        change(backend)
+        got = backend.score_matrix(X)
+        assert np.array_equal(got, fresh_copy(backend).score_matrix(X))
+
+    def test_hier_assignments(self):
+        from langrec.training import get_params, set_params
+
+        def perturbed(backend):
+            params = get_params(backend)
+            for key in params:
+                params[key] = params[key] * 1.01
+            set_params(backend, params)
+
+        def k_up(backend):
+            backend.stage2.params = dataclasses.replace(backend.stage2.params, k=1.0)
+
+        def b_zero(backend):
+            A2 = backend.stage2.preproc.A
+            backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+
+        def moved_shifts(backend):
+            backend.shifts = backend.shifts + 0.5
+
+        def new_detectors(backend):
+            backend.stage2.detectors = backend.stage2.detectors[::-1]
+
+        def new_stage(backend):
+            backend.stage2 = dataclasses.replace(
+                backend.stage2, params=dataclasses.replace(backend.stage2.params, k=-1.0)
+            )
+
+        for seed, change in enumerate(
+            (perturbed, k_up, b_zero, moved_shifts, new_detectors, new_stage)
+        ):
+            backend, X = self._hier(40 + seed)
+            before = backend.score_matrix(X)
+            self._check(backend, X, change)
+            assert not np.array_equal(backend.score_matrix(X), before), change.__name__
+
+    def test_flat_assignments(self):
+        from langrec.training import get_params, set_params
+
+        backend, X = self._hier(50)
+        flat = backend.stage2
+        params = get_params(flat)
+        params["detectors"] = params["detectors"] + 0.1
+        self._check(flat, X, lambda b: set_params(b, params))
+        self._check(flat, X, lambda b: setattr(b, "detectors", b.detectors * 2.0))
+        self._check(
+            flat, X, lambda b: setattr(b, "params", dataclasses.replace(b.params, k=3.0))
+        )
+
+    def test_in_place_writes_raise(self):
+        backend, X = self._hier(51)
+        backend.score_matrix(X)
+        arrays = [
+            backend.shifts,
+            backend.stage2.detectors,
+            backend.stage2.preproc.A,
+            backend.stage2.preproc.b,
+            backend.stage2.params.Lambda,
+            backend.stage2.params.Gamma,
+            backend.stage2.params.c,
+            backend.stage1.detectors,
+        ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            backend.shifts[1] += 1

@@ -14,17 +14,20 @@ parameters on the same backends.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from langrec.backend import FlatBackend
 from langrec.clustering import cluster_priors
-from langrec.hier import HierBackend, combine_llr, prior_odds
+from langrec.hier import (
+    HierBackend, combine_llr, combine_matrix, prior_odds, stage2_scores, stage2_tables,
+)
 from langrec.plda import PairScoreParams, pair_score, pair_score_matrix
-from langrec.preproc import AffinePreproc
+from langrec.preproc import AffinePreproc, DegenerateEmbeddingError
 from langrec.training import get_params, hier_loss_grads
 
-from test_training import finite_difference_check, random_symmetric
+from test_training import build_hier_backend, finite_difference_check, random_symmetric
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -108,43 +111,140 @@ def test_single_row_equals_its_batched_row(problem):
         assert np.all(np.abs(row - batch[i]) <= 1e-12 * np.maximum(1.0, np.abs(batch[i])))
 
 
-def test_problems_cover_gaps_and_padding():
+def test_problems_cover_gaps_and_uneven_blocks():
     """The strategy draws clusters that are not contiguous in detector order and
-    clusters of different sizes, which the padded stage-2 layout must handle."""
-    seen_gap = seen_pad = False
+    blocks of different sizes in one map."""
+    seen_gap = seen_uneven = False
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(hier_problems())
     def look(problem):
-        nonlocal seen_gap, seen_pad
+        nonlocal seen_gap, seen_uneven
         info = problem[0].combine
-        sizes = np.bincount(info.lang_cluster_idx)[info.blocks]
-        seen_pad |= bool(np.any(sizes < info.pad_cols.shape[1]))
+        sizes = np.bincount(info.cond_block)
+        seen_uneven |= bool(sizes.size and sizes.min() < sizes.max())
         seen_gap |= any(
             np.any(np.diff(np.flatnonzero(info.lang_cluster_idx == c)) > 1)
             for c in info.blocks
         )
 
     look()
-    assert seen_gap and seen_pad
+    assert seen_gap and seen_uneven
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(hier_problems())
-def test_pad_tables_index_each_language_once(problem):
-    """The languages of clusters of two or more are the conditional columns;
-    each sits once in the padded layout, in its own cluster's block."""
+def test_block_index_places_each_language_in_its_cluster(problem):
+    """The languages of clusters of two or more are the conditional columns,
+    in detector order; the column-to-block index sends each to its own
+    cluster's block, and every member of a block is a conditional column."""
     info = problem[0].combine
     sizes = np.bincount(info.lang_cluster_idx)
     assert np.array_equal(info.blocks, np.flatnonzero(sizes > 1))
     assert np.array_equal(info.cond, np.flatnonzero(sizes[info.lang_cluster_idx] > 1))
-    assert np.array_equal(info.pad_cols.ravel()[info.pad_pos], info.cond)
-    block, slot = np.divmod(info.pad_pos, info.pad_cols.shape[1])
-    assert np.array_equal(info.blocks[block], info.lang_cluster_idx[info.cond])
-    for b, row in enumerate(info.pad_cols):
-        n = sizes[info.blocks[b]]
-        assert sorted(slot[block == b]) == list(range(n))
-        assert np.array_equal(row[n:], np.zeros(len(row) - n))
+    assert info.cond_block.shape == info.cond.shape
+    assert np.array_equal(info.blocks[info.cond_block], info.lang_cluster_idx[info.cond])
+    assert np.array_equal(
+        np.bincount(info.cond_block, minlength=len(info.blocks)), sizes[info.blocks]
+    )
+
+
+def padded_scores(backend, X):
+    """The hierarchical scores through the padded stage-2 layout: every
+    block's rows A (x - s_b) + b, projected once and length-normalised,
+    are scored against its members' detectors padded with detector 0 to the
+    largest block, (B, N, m), and each conditional column is gathered from
+    its slot."""
+    s2, info = backend.stage2, backend.combine
+    Z = X @ s2.preproc.A.T + s2.preproc.b
+    D = Z[None, :, :] - (backend.shifts @ s2.preproc.A.T)[info.blocks][:, None, :]
+    U = D / np.linalg.norm(D, axis=-1)[..., None]
+    block = info.cond_block
+    slot = np.array([np.count_nonzero(block[:k] == b) for k, b in enumerate(block)])
+    pad_cols = np.zeros((len(info.blocks), slot.max() + 1), dtype=np.intp)
+    pad_cols[block, slot] = info.cond
+    p = s2.params
+    V = s2.detectors[pad_cols]  # (B, m, d)
+    S = (
+        2.0 * np.einsum("bnd,de,bme->bnm", U, p.Lambda, V)
+        + np.einsum("bnd,de,bne->bn", U, p.Gamma, U)[:, :, None]
+        + np.einsum("bmd,de,bme->bm", V, p.Gamma, V)[:, None, :]
+        + (U @ p.c)[:, :, None]
+        + (V @ p.c)[:, None, :]
+        + p.k
+    )
+    L_lc = S[block, :, slot].T
+    return combine_matrix(backend.stage1.score_matrix(X), L_lc, info)[0]
+
+
+def test_uneven_map_matches_padded_layout_and_single_rows():
+    """Blocks of 4, 3, 2 and 2 languages and three singletons, interleaved in
+    detector order, at small dimension."""
+    rng = np.random.default_rng(3)
+    sizes = [4, 3, 2, 2, 1, 1, 1]
+    names = [f"l{i:02d}" for i in rng.permutation(sum(sizes))]
+    ends = np.cumsum(sizes)
+    cmap = cluster_priors(
+        {min(p): tuple(p) for p in (names[e - n : e] for n, e in zip(sizes, ends))}
+    )
+    backend = HierBackend(
+        stage1=random_stage(rng, cmap.cluster_names, 7, 5),
+        stage2=random_stage(rng, cmap.languages, 7, 6),
+        shifts=rng.standard_normal((len(sizes), 7)),
+        cluster_map=cmap,
+    )
+    X = rng.standard_normal((11, 7))
+    batch = backend.score_matrix(X)
+    scale = np.maximum(1.0, np.abs(batch))
+    assert np.all(np.abs(batch - padded_scores(backend, X)) <= 1e-12 * scale)
+    for i in range(len(X)):
+        row = backend.score_matrix(X[i : i + 1])[0]
+        assert np.all(np.abs(row - batch[i]) <= 1e-12 * scale[i])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hier_problems(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_rows_near_a_shift_keep_difference_accuracy(problem, k, seed):
+    """A row whose stage-2 input A (x - s_b) + b has norm n = 10^-k |z|, with
+    z = A x + b, in a block b. The expanded terms cancel there, but only to a
+    small multiple of eps |z| / n of each term's scale, as the difference
+    (A x + b) - A s_b itself does. Reference: the difference, normalised,
+    scored with the scalar pair_score."""
+    backend, _, _ = problem
+    info, s2 = backend.combine, backend.stage2
+    assume(len(info.blocks) > 0)
+    rng = np.random.default_rng(seed)
+    A, b, p = s2.preproc.A, s2.preproc.b, s2.params
+    blk = int(rng.integers(len(info.blocks)))
+    s = backend.shifts[info.blocks[blk]]
+    direction = rng.standard_normal(len(b))
+    target = 10.0**-k * np.linalg.norm(A @ s) * direction / np.linalg.norm(direction)
+    x = s + np.linalg.pinv(A) @ (target - b)
+    z = A @ x + b
+    D = z - A @ s
+    n = np.linalg.norm(D)
+    assume(n > 1e-9)
+    tables = stage2_tables(A, b, p, s2.detectors, backend.shifts, info)
+    got = stage2_scores(tables, info, x[None, :])[0][0]
+    eps = np.finfo(float).eps
+    for col in np.flatnonzero(info.cond_block == blk):
+        v = s2.detectors[info.cond[col]]
+        want = pair_score(p, v, D / n)
+        terms = 2.0 * np.linalg.norm(p.Lambda @ v) + np.linalg.norm(p.Gamma) + np.linalg.norm(p.c)
+        scale = np.linalg.norm(z) / n * terms + abs(v @ p.Gamma @ v) + abs(v @ p.c) + abs(p.k)
+        assert abs(got[col] - want) <= 16.0 * eps * scale
+
+
+def test_row_at_a_block_shift_is_degenerate():
+    """With stage2.b = 0, a row at the shift of a cluster of two or more
+    languages has no stage-2 direction there: scoring raises."""
+    rng = np.random.default_rng(12)
+    backend = build_hier_backend(rng, singleton=True)
+    A2 = backend.stage2.preproc.A
+    backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+    x = backend.shifts[backend.combine.blocks[0]]
+    with pytest.raises(DegenerateEmbeddingError):
+        backend.score_matrix(np.vstack([rng.standard_normal(8), x]))
 
 
 def test_all_singleton_map_scores_stage1_and_has_no_stage2():

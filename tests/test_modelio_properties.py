@@ -73,8 +73,7 @@ def arrays(backend) -> dict:
         info = backend.combine
         out.update(
             {"lang_cluster_idx": info.lang_cluster_idx, "cond": info.cond, "P_c": info.P_c,
-             "P_lc": info.P_lc, "blocks": info.blocks, "pad_cols": info.pad_cols,
-             "pad_pos": info.pad_pos}
+             "P_lc": info.P_lc, "blocks": info.blocks, "cond_block": info.cond_block}
         )
         return out
     p = backend.params
