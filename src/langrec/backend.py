@@ -10,7 +10,7 @@ Both score every sample against every detector.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .plda import (
     pair_tables,
     to_pair_params,
 )
-from .preproc import AffinePreproc, fit_lda, normalized_projection
+from .preproc import AffinePreproc, lda, normalized_projection
 
 
 def flat_forward(A, b, tables: PairTables, X):
@@ -113,15 +113,14 @@ class FlatBackend:
 class GenerativeBackend:
     """Exact-scoring PLDA backend with per-language enrollment statistics.
 
-    tables holds the per-detector scoring tables, built once from the model
-    and the enrollment statistics; they are derived and never stored.
+    The per-detector scoring tables are derived from the model and the
+    enrollment statistics, and rebuilt after either is replaced.
     """
 
     preproc: AffinePreproc
     model: PldaModel
     detector_labels: tuple[str, ...]
     enroll: EnrollmentStats
-    tables: ExactLlrTables = field(init=False, repr=False)
 
     def __post_init__(self):
         self.detector_labels = tuple(self.detector_labels)
@@ -140,11 +139,14 @@ class GenerativeBackend:
             raise ValueError("enrollment counts and sums must be finite")
         if not np.all(np.asarray(counts) >= 1):
             raise ValueError("every enrollment count must be at least 1")
-        self.tables = exact_llr_tables(self.model, self.enroll)
 
     @property
     def n_detectors(self) -> int:
         return len(self.detector_labels)
+
+    @property
+    def tables(self) -> ExactLlrTables:
+        return derived(self, exact_llr_tables, self.model, self.enroll)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         return apply_llr_tables(self.tables, self.preproc.transform(X))
@@ -193,7 +195,7 @@ def fit_generative(
 ) -> tuple[AffinePreproc, PldaModel, list[str]]:
     """LDA preprocessing plus EM-trained PLDA on the preprocessed embeddings.
 
-    out_dim is the LDA dimension; fit_lda's default is #classes - 1.
+    out_dim is the LDA dimension; lda's default is #classes - 1.
     """
     return generative_fit(train, weights, out_dim, class_labels, em_iters)[:3]
 
@@ -208,10 +210,9 @@ def generative_fit(
     """fit_generative's result plus the preprocessed training set; the class
     labels default to the languages."""
     labels = list(class_labels) if class_labels is not None else list(train.languages)
-    preproc = fit_lda(train.vectors, labels, weights, out_dim)
+    preproc = lda(*train.class_stats(labels, weights), out_dim)
     U = preproc.transform(train.vectors)
-    model = em_train(U, labels, weights, n_iters=em_iters)
-    return GenerativeFit(preproc, model, labels, U)
+    return GenerativeFit(preproc, em_train(U, labels, weights, n_iters=em_iters), labels, U)
 
 
 def fit_generative_backend(

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +26,8 @@ class EmbeddingSet:
     """Labelled collection of D-dimensional embedding vectors.
 
     Vectors are stored as a read-only (N, D) float64 array; sample ids must
-    be unique and all vectors finite.
+    be unique and all vectors finite. The set keeps the per-language
+    statistics of the last weight vector it was asked about (class_stats).
     """
 
     def __init__(
@@ -53,6 +55,7 @@ class EmbeddingSet:
         self.datasets = tuple(str(s) for s in datasets)
         self.vectors = vectors.copy()
         self.vectors.setflags(write=False)
+        self._kept_stats = None
 
     @property
     def dim(self) -> int:
@@ -74,6 +77,39 @@ class EmbeddingSet:
 
     def language_inventory(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.languages)))
+
+    @cached_property
+    def _language_rows(self) -> tuple[tuple[str, ...], list[np.ndarray], np.ndarray]:
+        """group_rows of the languages, and the language index of every row."""
+        languages, rows = group_rows(self.languages)
+        return languages, rows, group_index(rows, len(self))
+
+    def class_stats(self, labels, weights: np.ndarray | None) -> tuple[tuple, "ClassStats"]:
+        """The classes of the per-row labels, sorted as group_rows sorts them,
+        and their statistics under the weights.
+
+        They are pooled from the statistics of each language, or of each
+        (language, label) group where labels split a language. The
+        per-language ones are computed once per weight vector: the set keeps
+        them, keyed by the bytes of the weights, until other weights ask.
+        """
+        weights = check_weights(weights, len(self))
+        labels = np.fromiter(labels, dtype=object)
+        if labels.shape != (len(self),):
+            raise ValueError("labels must have one entry per row")
+        _, rows, index = self._language_rows
+        atom_labels = labels[[r[0] for r in rows]]
+        if np.all(labels == atom_labels[index]):
+            key = weights.tobytes()
+            if self._kept_stats is None or self._kept_stats[0] != key:
+                self._kept_stats = (key, class_stats(self.vectors, rows, weights))
+            atoms = self._kept_stats[1]
+        else:
+            pairs, rows = group_rows(zip(self.languages, labels))
+            atom_labels = [c for _, c in pairs]
+            atoms = class_stats(self.vectors, rows, weights)
+        classes, members = group_rows(atom_labels)
+        return classes, atoms.pooled(group_index(members, len(atom_labels)), len(classes))
 
 
 @dataclass(frozen=True)
@@ -312,10 +348,44 @@ def group_rows(labels) -> tuple[tuple, list[np.ndarray]]:
     return tuple(labels[r[0]] for r in rows), rows
 
 
-def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray):
-    """Weighted counts n (C,), sums f (C, d) and within-class scatter (d, d)
-    of the classes `rows`, summed one class at a time: unlike one product over
-    all rows, that keeps the scatter independent of the BLAS thread count."""
+class ClassStats(NamedTuple):
+    """Weighted statistics of C classes of d-dimensional rows."""
+
+    counts: np.ndarray  # (C,) weighted counts n
+    sums: np.ndarray  # (C, d) weighted sums f
+    sizes: np.ndarray  # (C,) row counts
+    scatter: np.ndarray  # (d, d) within-class scatter, summed over the classes
+
+    def pooled(self, owner: np.ndarray, n_classes: int) -> "ClassStats":
+        """The statistics of n_classes unions of these classes, class a going
+        to union owner[a]. A union's scatter is the sum of its classes' plus
+        sum_a n_a (m_a - m)(m_a - m)' over their means m_a about its mean m."""
+        counts, sums = np.zeros(n_classes), np.zeros((n_classes, self.sums.shape[1]))
+        sizes = np.zeros(n_classes, dtype=np.intp)
+        np.add.at(counts, owner, self.counts)
+        np.add.at(sums, owner, self.sums)
+        np.add.at(sizes, owner, self.sizes)
+        D = self.sums / self.counts[:, None] - (sums / counts[:, None])[owner]
+        return ClassStats(counts, sums, sizes, self.scatter + (self.counts[:, None] * D).T @ D)
+
+    def shifted(self, shifts: np.ndarray) -> "ClassStats":
+        """The statistics after every row of class a moves by -shifts[a]:
+        the sums become f_a - n_a s_a and the scatter is unchanged."""
+        return self._replace(sums=self.sums - self.counts[:, None] * shifts)
+
+
+def group_index(rows: list[np.ndarray], n: int) -> np.ndarray:
+    """The group of each of n rows, given the rows of each group."""
+    index = np.empty(n, dtype=np.intp)
+    for i, r in enumerate(rows):
+        index[r] = i
+    return index
+
+
+def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray) -> ClassStats:
+    """The ClassStats of the classes `rows`, summed one class at a time:
+    unlike one product over all rows, that keeps the scatter independent of
+    the BLAS thread count."""
     if sum(r.size for r in rows) != len(X):
         raise ValueError("labels must have one entry per row")
     counts = np.array([weights[r].sum() for r in rows])
@@ -324,4 +394,5 @@ def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray):
     for r, mean in zip(rows, sums / counts[:, None]):
         D = X[r] - mean
         scatter += (weights[r][:, None] * D).T @ D
-    return counts, sums, scatter
+    sizes = np.array([r.size for r in rows], dtype=np.intp)
+    return ClassStats(counts, sums, sizes, scatter)

@@ -16,10 +16,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterMap
-from .dataio import EmbeddingSet, per_language_means
-from .backend import FlatBackend, derived, flat_forward, freezing_setattr, init_from_generative
-from .plda import PairTables, pair_tables
-from .preproc import row_norms
+from .dataio import EmbeddingSet
+from .backend import (
+    FlatBackend,
+    GenerativeFit,
+    derived,
+    flat_forward,
+    freezing_setattr,
+    init_from_generative,
+)
+from .plda import PairTables, em_train, pair_tables
+from .preproc import lda, row_norms, unit_rows
 
 
 def prior_odds(p: float) -> float:
@@ -226,7 +233,9 @@ def init_hier(
 
     Shift vectors are the average of the per-language mean embeddings in
     each cluster. Stage1 is initialized with clusters as class labels;
-    stage2 on the shifted embeddings with languages as class labels.
+    stage2 on the shifted embeddings with languages as class labels. Both
+    LDAs come from the per-language statistics that the training set keeps
+    per weight vector (EmbeddingSet.class_stats).
     out_dim1 and out_dim2 default to their rank bounds, #clusters - 1 and
     #languages - #clusters (the between-class rank left after per-cluster
     centering), and may not exceed them.
@@ -249,7 +258,8 @@ def init_hier(
             f"out_dim2 {out_dim2} exceeds rank bound #languages-#clusters = {L - C}"
         )
 
-    lang_means = per_language_means(train, weights)
+    lang_stats = train.class_stats(train.languages, weights)[1]
+    lang_means = dict(zip(langs, lang_stats.sums / lang_stats.counts[:, None]))
     cluster_names = cluster_map.cluster_names
     shifts = np.vstack(
         [
@@ -263,10 +273,15 @@ def init_hier(
         train, weights, out_dim1, class_labels=sample_clusters, em_iters=em_iters
     )
 
+    # Stage 2 fits the shifted rows x - s_c without forming them: the shift
+    # leaves each language's scatter as it is and moves its sum by n_l s_c.
+    lang_cluster = np.searchsorted(cluster_names, [cluster_map.assignment[l] for l in langs])
+    preproc2 = lda(langs, lang_stats.shifted(shifts[lang_cluster]), out_dim2)
+    A2 = preproc2.A
     cluster_idx = np.searchsorted(cluster_names, sample_clusters)
-    shifted = EmbeddingSet(
-        train.sample_ids, train.languages, train.datasets, train.vectors - shifts[cluster_idx]
-    )
-    stage2 = init_from_generative(shifted, weights, out_dim2, em_iters=em_iters)
+    U2 = unit_rows(train.vectors @ A2.T - (shifts @ A2.T)[cluster_idx] + preproc2.b)[0]
+    labels = list(train.languages)
+    model2 = em_train(U2, labels, weights, n_iters=em_iters)
+    stage2 = GenerativeFit(preproc2, model2, labels, U2).flat_backend()
 
     return HierBackend(stage1=stage1, stage2=stage2, shifts=shifts, cluster_map=cluster_map)

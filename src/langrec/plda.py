@@ -72,7 +72,8 @@ def _chol_inverse(L: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PldaModel:
-    """Two-covariance model: mean mu, between precision B_prec, within precision W."""
+    """Two-covariance model: mean mu, between precision B_prec, within
+    precision W, in read-only arrays."""
 
     mu: np.ndarray
     B_prec: np.ndarray
@@ -99,11 +100,8 @@ class PldaModel:
                 "B_prec is not positive definite relative to W "
                 f"(smallest diagonal-basis eigenvalue {psi[0]:.3g})"
             )
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "B_prec", B)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "T", W @ V)
+        for name, value in (("mu", mu), ("B_prec", B), ("W", W), ("psi", psi), ("T", W @ V)):
+            object.__setattr__(self, name, read_only(value))
 
     @property
     def dim(self) -> int:
@@ -167,7 +165,7 @@ def em_train(
     weights = weights * (n / weights.sum())
 
     classes, rows = group_rows(labels)
-    n_l, f_l, W_cov = class_stats(X, rows, weights)
+    n_l, f_l, _, W_cov = class_stats(X, rows, weights)
     if len(classes) < 2:
         raise ValueError("EM needs at least 2 classes")
     total, J = weights.sum(), len(classes)
@@ -294,10 +292,15 @@ def exact_llr(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EnrollmentStats:
-    """Per-detector sufficient statistics for vectorized exact scoring."""
+    """Per-detector sufficient statistics for vectorized exact scoring, in
+    read-only arrays."""
 
     counts: np.ndarray  # (L,) sample counts
     sums: np.ndarray  # (L, d) vector sums
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", read_only(self.counts))
+        object.__setattr__(self, "sums", read_only(self.sums))
 
 
 def enrollment_stats(groups: list[np.ndarray]) -> EnrollmentStats:

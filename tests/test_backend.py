@@ -451,6 +451,37 @@ class TestTablesFollowParameters:
             flat, X, lambda b: setattr(b, "params", dataclasses.replace(b.params, k=3.0))
         )
 
+    def test_generative_assignments(self):
+        rng = np.random.default_rng(52)
+        train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
+        X = train.vectors[:9]
+        other = fit_generative_backend(train, balance_weights(train), out_dim=2)
+
+        def doubled_enroll(backend):
+            e = backend.enroll
+            backend.enroll = EnrollmentStats(counts=2.0 * e.counts, sums=2.0 * e.sums)
+
+        def new_model(backend):
+            backend.model = other.model
+
+        for change in (doubled_enroll, new_model):
+            backend = fit_generative_backend(train, None, out_dim=2)
+            before = backend.score_matrix(X)
+            self._check(backend, X, change)
+            assert not np.array_equal(backend.score_matrix(X), before), change.__name__
+
+    def test_generative_in_place_writes_raise(self):
+        rng = np.random.default_rng(53)
+        train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
+        backend = fit_generative_backend(train, None, out_dim=2)
+        backend.score_matrix(train.vectors[:3])
+        m, e = backend.model, backend.enroll
+        for a in (e.counts, e.sums, m.mu, m.B_prec, m.W, m.psi, m.T):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1.0
+        with pytest.raises(AttributeError):
+            backend.tables = None
+
     def test_in_place_writes_raise(self):
         backend, X = self._hier(51)
         backend.score_matrix(X)

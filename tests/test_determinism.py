@@ -1,20 +1,14 @@
-"""Trained scores do not depend on the number of BLAS threads.
+"""Fitted and trained scores do not depend on the number of BLAS threads.
 
 Each run is a fresh interpreter, because OpenBLAS reads its thread count
 once, when numpy is first imported.
 
-The generative model and the flat discriminative model are checked. The
-generative check covers the LDA and EM fit alone: class statistics summed
-class by class are invariant for the 200-row language classes of
-`SynthConfig()`, while a within-class scatter taken as one product over
-all rows (2000 x 64 here) is not.
-
-The hierarchical model is checked for scoring alone, from a model file
-saved once. Fitting it is not yet invariant: its stage 1 takes clusters as
-classes, 400 and 600 rows of 64-d, and `dataio.class_stats` gives those a
-different within-class scatter at 1 and at 2 BLAS threads, so the
-`hdplda` initial scores differ between thread counts on every
-`SynthConfig` seed from 0 to 7 (see ROADMAP item 2).
+All three models are fitted inside each run, and the flat discriminative
+model is trained there too. Class statistics are summed class by class,
+and the statistics of a class made of several languages (a cluster) are
+pooled from those of its languages, so no BLAS product runs over all rows
+of the training set (2000 x 64 here) or of a cluster (400 and 600 rows):
+products that large can split differently at different thread counts.
 """
 
 import os
@@ -54,12 +48,13 @@ print(hashlib.sha256(backend.score_matrix(test_set.vectors).tobytes()).hexdigest
 """
 
 HDPLDA_SCRIPT = """
-import hashlib, sys
-from langrec.modelio import load_model
+import hashlib
+from langrec.dataio import balance_weights
+from langrec.hier import init_hier
 from langrec.synth import SynthConfig, generate
 
-_, _, test_set, _ = generate(SynthConfig(seed=5))
-backend = load_model(sys.argv[1])[0]
+train_set, _, test_set, truth = generate(SynthConfig(seed=5))
+backend = init_hier(train_set, truth, balance_weights(train_set))
 scores = [backend.score_matrix(test_set.vectors)]
 scores += [backend.score_matrix(test_set.vectors[i : i + 1]) for i in range(0, len(test_set), 37)]
 print(hashlib.sha256(b"".join(s.tobytes() for s in scores)).hexdigest())
@@ -88,13 +83,5 @@ def test_dplda_scores_identical_with_one_and_two_blas_threads():
     assert score_hash(DPLDA_SCRIPT, 1) == score_hash(DPLDA_SCRIPT, 2)
 
 
-def test_hdplda_scores_identical_with_one_and_two_blas_threads(tmp_path):
-    from langrec.dataio import balance_weights
-    from langrec.hier import init_hier
-    from langrec.modelio import save_model
-    from langrec.synth import SynthConfig, generate
-
-    train_set, _, _, truth = generate(SynthConfig(seed=5))
-    path = tmp_path / "hdplda.json"
-    save_model(path, init_hier(train_set, truth, balance_weights(train_set)))
-    assert score_hash(HDPLDA_SCRIPT, 1, str(path)) == score_hash(HDPLDA_SCRIPT, 2, str(path))
+def test_hdplda_scores_identical_with_one_and_two_blas_threads():
+    assert score_hash(HDPLDA_SCRIPT, 1) == score_hash(HDPLDA_SCRIPT, 2)

@@ -94,8 +94,9 @@ def test_permuting_detectors_permutes_columns(problem, random):
 @SETTINGS
 @given(plda_backends())
 def test_backend_scores_bit_identical_to_fresh_tables(problem):
-    """GenerativeBackend builds its detector tables once; scoring a batch or a
-    single row with them gives the result of freshly built tables bit for bit."""
+    """GenerativeBackend keeps its detector tables until its model or
+    enrollment statistics are replaced; scoring a batch or a single row with
+    them gives the result of freshly built tables bit for bit."""
     backend, X = problem
     for rows in [X] + [X[i : i + 1] for i in range(len(X))]:
         want = llr_matrix(backend.model, backend.enroll, backend.preproc.transform(rows))
