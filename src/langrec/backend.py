@@ -9,8 +9,7 @@ Both score every sample against every detector.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,46 +40,23 @@ def flat_forward(A, b, tables: PairTables, X):
     return apply_pair_tables(tables, U), U, norms
 
 
-def derived(owner, build, *sources):
-    """build(*sources), kept on owner until one of the sources is replaced.
-
-    A backend holds its parameters in read-only arrays and frozen
-    dataclasses, so replacing one is the only way to change it, and the
-    identities of the sources key what is kept. An owner keeps one result.
-    """
-    kept = owner.__dict__.get("_derived")
-    if kept is None or not all(map(operator.is_, kept[0], sources)):
-        kept = (sources, build(*sources))
-        owner.__dict__["_derived"] = kept
-    return kept[1]
-
-
-def freezing_setattr(*names):
-    """A __setattr__ that stores the arrays assigned to names read-only."""
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, read_only(value) if name in names else value)
-
-    return __setattr__
-
-
-@dataclass
+@dataclass(frozen=True)
 class FlatBackend:
     """Preprocessing chain, pair-score parameters, and detector vectors.
 
-    The detector matrix is read-only; the scoring tables are derived from
-    the parameters and rebuilt after any of them is replaced.
+    The detector matrix is read-only, and the scoring tables are built once,
+    with the backend; dataclasses.replace makes a backend with other parts.
     """
 
     preproc: AffinePreproc
     params: PairScoreParams
     detector_labels: tuple[str, ...]
     detectors: np.ndarray  # (L, out_dim)
-
-    __setattr__ = freezing_setattr("detectors")
+    tables: PairTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.detector_labels = tuple(self.detector_labels)
+        object.__setattr__(self, "detector_labels", tuple(self.detector_labels))
+        object.__setattr__(self, "detectors", read_only(self.detectors))
         L = len(self.detector_labels)
         if len(set(self.detector_labels)) != L:
             raise ValueError("detector labels must be unique")
@@ -90,14 +66,11 @@ class FlatBackend:
             raise ValueError("pair-score parameter dimension disagrees with preprocessing")
         if not np.all(np.isfinite(self.detectors)):
             raise ValueError("detector vectors must be finite")
+        object.__setattr__(self, "tables", pair_tables(self.params, self.detectors))
 
     @property
     def n_detectors(self) -> int:
         return len(self.detector_labels)
-
-    @property
-    def tables(self) -> PairTables:
-        return derived(self, pair_tables, self.params, self.detectors)
 
     @property
     def forward_params(self) -> tuple:
@@ -109,21 +82,22 @@ class FlatBackend:
         return flat_forward(*self.forward_params, X)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerativeBackend:
     """Exact-scoring PLDA backend with per-language enrollment statistics.
 
-    The per-detector scoring tables are derived from the model and the
-    enrollment statistics, and rebuilt after either is replaced.
+    The per-detector scoring tables are built once, with the backend, from
+    the model and the enrollment statistics.
     """
 
     preproc: AffinePreproc
     model: PldaModel
     detector_labels: tuple[str, ...]
     enroll: EnrollmentStats
+    tables: ExactLlrTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.detector_labels = tuple(self.detector_labels)
+        object.__setattr__(self, "detector_labels", tuple(self.detector_labels))
         L, d = len(self.detector_labels), self.model.dim
         if len(set(self.detector_labels)) != L:
             raise ValueError("detector labels must be unique")
@@ -139,14 +113,11 @@ class GenerativeBackend:
             raise ValueError("enrollment counts and sums must be finite")
         if not np.all(np.asarray(counts) >= 1):
             raise ValueError("every enrollment count must be at least 1")
+        object.__setattr__(self, "tables", exact_llr_tables(self.model, self.enroll))
 
     @property
     def n_detectors(self) -> int:
         return len(self.detector_labels)
-
-    @property
-    def tables(self) -> ExactLlrTables:
-        return derived(self, exact_llr_tables, self.model, self.enroll)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         return apply_llr_tables(self.tables, self.preproc.transform(X))
@@ -176,7 +147,7 @@ class GenerativeFit(NamedTuple):
         """Trainable backend: pair-score parameters from the model and each
         detector the mean of its class's preprocessed (length-normalized)
         training vectors, so it reproduces the generative mean-enrollment
-        scores exactly. A new backend on every call."""
+        scores exactly."""
         detector_labels, rows = group_rows(self.labels)
         return FlatBackend(
             preproc=self.preproc,

@@ -25,14 +25,16 @@ from .dataio import (
     ParseError,
     TrialSet,
     balance_weights,
+    check_count,
     generate_trials,
     load_embeddings,
     per_language_means,
+    read_text,
     save_embeddings,
 )
 from .hier import init_hier
 from .synth import SynthConfig, generate
-from .training import TrainConfig, check_count, format_training_log, multi_seed_train
+from .training import TrainConfig, format_training_log, multi_seed_train
 
 PROG = "langrec"
 
@@ -46,7 +48,7 @@ def _load_json(path, what: str) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {what} file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} file {path} must hold one JSON object")
@@ -145,21 +147,19 @@ def cmd_train(args) -> int:
     dev_sets = [(dev_set, dev_trials)]
 
     if args.kind == "dplda":
-        make_backend = generative_fit(train_set, weights, out_dim, em_iters=em_iters).flat_backend
+        backend = generative_fit(train_set, weights, out_dim, em_iters=em_iters).flat_backend()
 
     elif args.kind == "hdplda":
         if not args.clusters:
             raise ConfigError("kind 'hdplda' requires --clusters")
         cmap = _load_cluster_map(args.clusters)
         out_dim1, out_dim2 = extras.get("out_dim1"), extras.get("out_dim2")
-
-        def make_backend():
-            return init_hier(train_set, cmap, weights, out_dim1, out_dim2, em_iters=em_iters)
+        backend = init_hier(train_set, cmap, weights, out_dim1, out_dim2, em_iters=em_iters)
 
     else:
         raise ConfigError(f"unknown model kind {args.kind!r}")
 
-    result = multi_seed_train(make_backend, train_set, dev_sets, config)
+    result = multi_seed_train(backend, train_set, dev_sets, config)
     modelio.save_model(args.out, result.backend, train_config=doc, seed=result.seed)
     log_path.write_text(format_training_log(result.log), encoding="utf-8")
     print(
@@ -190,29 +190,27 @@ def _read_scores(path):
     """
     ids, dets, scores = [], [], []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: expected 3 fields at line {lineno}")
-            try:
-                score = float(parts[2])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric score at line {lineno}") from None
-            if not math.isfinite(score):
-                raise ParseError(f"{path}: non-finite score at line {lineno}")
-            if (parts[0], parts[1]) in seen:
-                raise ParseError(
-                    f"{path}: duplicate score for sample {parts[0]!r} and detector "
-                    f"{parts[1]!r} at line {lineno}"
-                )
-            seen.add((parts[0], parts[1]))
-            ids.append(parts[0])
-            dets.append(parts[1])
-            scores.append(score)
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"{path}: expected 3 fields at line {lineno}")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric score at line {lineno}") from None
+        if not math.isfinite(score):
+            raise ParseError(f"{path}: non-finite score at line {lineno}")
+        if (parts[0], parts[1]) in seen:
+            raise ParseError(
+                f"{path}: duplicate score for sample {parts[0]!r} and detector "
+                f"{parts[1]!r} at line {lineno}"
+            )
+        seen.add((parts[0], parts[1]))
+        ids.append(parts[0])
+        dets.append(parts[1])
+        scores.append(score)
     if not ids:
         raise ParseError(f"{path}: empty score file")
     detectors = tuple(dict.fromkeys(dets))

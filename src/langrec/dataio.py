@@ -7,6 +7,7 @@ header line. All sets are immutable after construction.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -146,11 +147,19 @@ def load_embeddings(path) -> EmbeddingSet:
     return embeddings
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file with universal newlines, or ParseError naming
+    the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_emb_tsv(path: Path) -> tuple[int, list[tuple[int, list[str]]]]:
     """The header dimension and the (line number, tab fields) of every
     non-blank line after the header."""
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(EMB_TSV_HEADER):
         raise ParseError(f"{path}: missing '#dim=<D>' header at line 1")
     try:
@@ -313,6 +322,12 @@ def read_only(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """ValueError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_weights(weights: np.ndarray | None, n: int) -> np.ndarray:

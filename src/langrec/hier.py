@@ -16,15 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .clustering import ClusterMap
-from .dataio import EmbeddingSet
-from .backend import (
-    FlatBackend,
-    GenerativeFit,
-    derived,
-    flat_forward,
-    freezing_setattr,
-    init_from_generative,
-)
+from .dataio import EmbeddingSet, read_only
+from .backend import FlatBackend, GenerativeFit, flat_forward, init_from_generative
 from .plda import PairTables, em_train, pair_tables
 from .preproc import lda, row_norms, unit_rows
 
@@ -128,24 +121,25 @@ def stage2_scores(t: Stage2Tables, info: HierCombineInfo, X):
     return S2, (Z, norms, cross, quad, lin)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HierBackend:
     """Two flat stages, per-cluster shift vectors, and the cluster map.
 
     stage1 detectors are clusters; stage2 detectors are languages with
     parameters shared across clusters. shifts rows align with stage1
     detector order and live in raw embedding space, in a read-only array.
+    The combination and stage-2 tables are built once, with the backend.
     """
 
     stage1: FlatBackend
     stage2: FlatBackend
     shifts: np.ndarray  # (C, D)
     cluster_map: ClusterMap
-    combine: HierCombineInfo = field(init=False, repr=False)
-
-    __setattr__ = freezing_setattr("shifts")
+    combine: HierCombineInfo = field(init=False, repr=False, compare=False)
+    tables2: Stage2Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "shifts", read_only(self.shifts))
         cmap = self.cluster_map
         clusters = self.stage1.detector_labels
         if tuple(sorted(clusters)) != cmap.cluster_names:
@@ -165,7 +159,7 @@ class HierBackend:
             [j for j, l in enumerate(labels) if cmap.p_l_given_c[l] < 1.0], dtype=np.intp
         )
         blocks, cond_block = np.unique(idx[cond], return_inverse=True)
-        self.combine = HierCombineInfo(
+        combine = HierCombineInfo(
             lang_cluster_idx=idx,
             cond=cond,
             P_c=np.array([prior_odds(cmap.p_c[cmap.assignment[labels[j]]]) for j in cond]),
@@ -173,6 +167,12 @@ class HierBackend:
             blocks=blocks,
             cond_block=cond_block,
         )
+        s2 = self.stage2
+        t2 = stage2_tables(
+            s2.preproc.A, s2.preproc.b, s2.params, s2.detectors, self.shifts, combine
+        )
+        object.__setattr__(self, "combine", combine)
+        object.__setattr__(self, "tables2", t2)
 
     @property
     def detector_labels(self) -> tuple[str, ...]:
@@ -183,10 +183,7 @@ class HierBackend:
         return len(self.stage2.detector_labels)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        s2 = self.stage2
-        sources = (s2.preproc.A, s2.preproc.b, s2.params, s2.detectors, self.shifts, self.combine)
-        t2 = derived(self, stage2_tables, *sources)
-        return hier_forward(self.stage1.forward_params, t2, self.combine, X)[0]
+        return hier_forward(self.stage1.forward_params, self.tables2, self.combine, X)[0]
 
 
 def hier_forward(stage1, stage2: Stage2Tables, info: HierCombineInfo, X):

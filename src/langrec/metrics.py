@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .clustering import ClusterMap
-from .dataio import TrialSet
+from .dataio import TrialSet, check_count
 
 MAX_REDRAWS = 10
 
@@ -202,6 +202,7 @@ def bootstrap_ci(
     non-targets are redrawn, at most MAX_REDRAWS times. Deterministic per
     seed; each replicate uses its own derived RNG stream.
     """
+    check_count("n_boot", n_boot, 1)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != len(trials):
         raise ValueError("scores and trials disagree in length")

@@ -173,7 +173,7 @@ def load_model(path):
     """Returns (backend, metadata dict with train_config_used and seed)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"model file {path} is not valid JSON: {exc}") from None
     backend = model_from_doc(doc)
     meta = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,13 +21,14 @@ from .clustering import ClusterMap, cut_merges, linkage_merges, plda_distance_ma
 from .dataio import (
     EmbeddingSet,
     balance_weights,
+    check_count,
     generate_trials,
     per_language_means,
     trial_index,
 )
 from .hier import HierBackend, init_hier
 from .metrics import bootstrap_ci, evaluate, subset_trials
-from .training import TrainConfig, check_count, dev_evaluator, multi_seed_train
+from .training import TrainConfig, dev_evaluator, multi_seed_train
 
 logger = logging.getLogger(__name__)
 
@@ -220,14 +221,8 @@ def run_comparison(
     )
     cmap = tuned.cluster_map
 
-    dplda = multi_seed_train(generative.flat_backend, train_set, dev_sets, train_config).backend
-
-    def make_hier():
-        # train() replaces the parameters of the backend it is given, so each
-        # seed gets its own stages; the read-only arrays are shared.
-        return replace(tuned, stage1=replace(tuned.stage1), stage2=replace(tuned.stage2))
-
-    hdplda = multi_seed_train(make_hier, train_set, dev_sets, train_config).backend
+    dplda = multi_seed_train(generative.flat_backend(), train_set, dev_sets, train_config).backend
+    hdplda = multi_seed_train(tuned, train_set, dev_sets, train_config).backend
 
     trials = generate_trials(test_set, detectors)
     sample_langs = dict(zip(test_set.sample_ids, test_set.languages))

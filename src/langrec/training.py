@@ -8,21 +8,20 @@ balanced batches and dev-based checkpoint selection.
 
 The engine works on plain parameter dictionaries (see get_params). Adam
 never writes in place, so checkpoints keep its dictionaries uncopied; only
-the final write-back of the best one copies.
+the backend returned for the best one copies them.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from .backend import FlatBackend, flat_forward
-from .dataio import EmbeddingSet, TrialSet, group_rows, trial_index
+from .dataio import EmbeddingSet, TrialSet, check_count, group_rows, trial_index
 from .hier import HierBackend, HierCombineInfo, hier_forward, stage2_tables
 from .metrics import actual_dcf
 from .plda import PairScoreParams, pair_tables
@@ -33,12 +32,6 @@ logger = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def check_count(name: str, value, minimum: int = 0) -> None:
-    """ValueError unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -166,27 +159,33 @@ def get_params(backend) -> dict[str, np.ndarray]:
     raise TypeError(f"unsupported backend type {type(backend).__name__}")
 
 
-def _set_flat_params(backend: FlatBackend, params, prefix: str = "") -> None:
-    backend.preproc = AffinePreproc(A=params[prefix + "A"], b=params[prefix + "b"])
-    backend.params = PairScoreParams(
-        Lambda=params[prefix + "Lambda"],
-        Gamma=params[prefix + "Gamma"],
-        c=params[prefix + "c"],
-        k=float(params[prefix + "k"]),
+def _with_flat_params(backend: FlatBackend, params, prefix: str = "") -> FlatBackend:
+    return replace(
+        backend,
+        preproc=AffinePreproc(A=params[prefix + "A"], b=params[prefix + "b"]),
+        params=PairScoreParams(
+            Lambda=params[prefix + "Lambda"],
+            Gamma=params[prefix + "Gamma"],
+            c=params[prefix + "c"],
+            k=float(params[prefix + "k"]),
+        ),
+        detectors=params[prefix + "detectors"],
     )
-    backend.detectors = params[prefix + "detectors"]
 
 
-def set_params(backend, params: dict[str, np.ndarray]) -> None:
-    """Point the backend at the arrays of params, without copying them."""
+def with_params(backend, params: dict[str, np.ndarray]):
+    """A new backend like backend, built on the arrays of params (get_params's
+    keys) without copying them."""
     if isinstance(backend, HierBackend):
-        _set_flat_params(backend.stage1, params, "stage1.")
-        _set_flat_params(backend.stage2, params, "stage2.")
-        backend.shifts = params["shifts"]
-    elif isinstance(backend, FlatBackend):
-        _set_flat_params(backend, params)
-    else:
-        raise TypeError(f"unsupported backend type {type(backend).__name__}")
+        return replace(
+            backend,
+            stage1=_with_flat_params(backend.stage1, params, "stage1."),
+            stage2=_with_flat_params(backend.stage2, params, "stage2."),
+            shifts=params["shifts"],
+        )
+    if isinstance(backend, FlatBackend):
+        return _with_flat_params(backend, params)
+    raise TypeError(f"unsupported backend type {type(backend).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +475,9 @@ def train(
 
     Runs the configured stages, checkpoints every `checkpoint_every`
     batches (and at stage ends), restores the best checkpoint by average
-    dev metric, fine-tunes it, and returns the overall best checkpoint.
-    A non-finite loss aborts training, falling back to the best checkpoint
-    recorded so far.
+    dev metric, fine-tunes it, and returns the overall best checkpoint as a
+    new backend; the backend given is left as it is. A non-finite loss
+    aborts training, falling back to the best checkpoint recorded so far.
     """
     det_pos = {lab: i for i, lab in enumerate(backend.detector_labels)}
     missing = sorted(set(train_set.languages) - set(det_pos))
@@ -494,20 +493,21 @@ def train(
     info = backend.combine if is_hier else None
     if config.alpha > 0.0 and not is_hier:
         raise ValueError("alpha > 0 requires a hierarchical backend")
+    if not dev_sets:
+        raise ValueError("training needs at least one dev set to select checkpoints on")
 
     rng = np.random.default_rng(seed)
     params = get_params(backend)
     checkpoints: list[Checkpoint] = []
 
     def record(batches_seen, lr, train_loss):
-        set_params(backend, params)
         checkpoints.append(
             Checkpoint(
                 index=len(checkpoints),
                 batches_seen=batches_seen,
                 lr=lr,
                 train_loss=train_loss,
-                dev_losses=evaluate_dev(backend),
+                dev_losses=evaluate_dev(with_params(backend, params)),
                 params=params,
             )
         )
@@ -554,9 +554,8 @@ def train(
         run_stage(n_ft, lr_ft)
 
     best = best_checkpoint()
-    set_params(backend, {k: p.copy() for k, p in best.params.items()})
     return TrainResult(
-        backend=backend,
+        backend=with_params(backend, {k: p.copy() for k, p in best.params.items()}),
         log=checkpoints,
         best_avg_dev=best.avg_dev,
         best_index=best.index,
@@ -566,20 +565,20 @@ def train(
 
 
 def multi_seed_train(
-    make_backend,
+    backend,
     train_set: EmbeddingSet,
     dev_sets: list[tuple[EmbeddingSet, TrialSet]],
     config: TrainConfig,
 ) -> TrainResult:
-    """Run train() once per configured seed and keep the best dev result.
+    """Run train() from backend once per configured seed and keep the best
+    dev result.
 
     Ties break toward the lowest seed; duplicate seeds are collapsed.
     """
-    seen = set()
-    seeds = [s for s in config.seeds if not (s in seen or seen.add(s))]
-    results = []
-    for seed in seeds:
-        results.append(train(make_backend(), train_set, dev_sets, config, seed=seed))
+    results = [
+        train(backend, train_set, dev_sets, config, seed=seed)
+        for seed in dict.fromkeys(config.seeds)
+    ]
     return min(results, key=lambda r: (r.best_avg_dev, r.seed))
 
 

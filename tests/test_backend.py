@@ -332,8 +332,9 @@ class TestInitHier:
         x = train.vectors[0][None, :]
         base = backend.score_matrix(x)
         # A larger stage-2 offset k raises every conditional score by 0.5.
-        pair2 = backend.stage2.params
-        backend.stage2.params = dataclasses.replace(pair2, k=pair2.k + 0.5)
+        s2 = backend.stage2
+        s2 = dataclasses.replace(s2, params=dataclasses.replace(s2.params, k=s2.params.k + 0.5))
+        backend = dataclasses.replace(backend, stage2=s2)
         assert np.all(backend.score_matrix(x) > base)
 
     def test_other_cluster_shift_does_not_leak(self):
@@ -345,7 +346,7 @@ class TestInitHier:
         ci_other = backend.stage1.detector_labels.index("b0")
         shifts = backend.shifts.copy()
         shifts[ci_other] += 10.0
-        backend.shifts = shifts
+        backend = dataclasses.replace(backend, shifts=shifts)
         after = backend.score_matrix(x[None])[0]
         a_cols = [backend.detector_labels.index(l) for l in ("a0", "a1")]
         assert np.allclose(before[a_cols], after[a_cols])
@@ -375,7 +376,7 @@ class TestInitHier:
 
 
 def fresh_copy(backend):
-    """A backend newly built from the same parameter objects, with no tables yet."""
+    """A backend newly built from the same parts, with tables of its own."""
     if hasattr(backend, "stage1"):
         return type(backend)(
             stage1=fresh_copy(backend.stage1),
@@ -387,9 +388,10 @@ def fresh_copy(backend):
 
 
 class TestTablesFollowParameters:
-    """Scoring tables are derived from the parameters once per model. Every
-    way the package and its tests change a parameter must reach them, and an
-    in-place write, which they could not see, must raise."""
+    """Backends are immutable values whose scoring tables are built with them.
+    No field can be assigned and no parameter array written in place; a
+    backend made from another with some parts replaced scores like one built
+    fresh from its parts, and the other's scores do not move."""
 
     def _hier(self, seed):
         rng = np.random.default_rng(seed)
@@ -397,78 +399,69 @@ class TestTablesFollowParameters:
         backend = init_hier(train, cmap, None, 2, 3)
         return backend, train.vectors[:9]
 
-    def _check(self, backend, X, change):
-        backend.score_matrix(X)  # builds the tables of the old parameters
-        change(backend)
-        got = backend.score_matrix(X)
-        assert np.array_equal(got, fresh_copy(backend).score_matrix(X))
-
-    def test_hier_assignments(self):
-        from langrec.training import get_params, set_params
-
-        def perturbed(backend):
-            params = get_params(backend)
-            for key in params:
-                params[key] = params[key] * 1.01
-            set_params(backend, params)
-
-        def k_up(backend):
-            backend.stage2.params = dataclasses.replace(backend.stage2.params, k=1.0)
-
-        def b_zero(backend):
-            A2 = backend.stage2.preproc.A
-            backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
-
-        def moved_shifts(backend):
-            backend.shifts = backend.shifts + 0.5
-
-        def new_detectors(backend):
-            backend.stage2.detectors = backend.stage2.detectors[::-1]
-
-        def new_stage(backend):
-            backend.stage2 = dataclasses.replace(
-                backend.stage2, params=dataclasses.replace(backend.stage2.params, k=-1.0)
-            )
-
-        for seed, change in enumerate(
-            (perturbed, k_up, b_zero, moved_shifts, new_detectors, new_stage)
-        ):
-            backend, X = self._hier(40 + seed)
-            before = backend.score_matrix(X)
-            self._check(backend, X, change)
-            assert not np.array_equal(backend.score_matrix(X), before), change.__name__
-
-    def test_flat_assignments(self):
-        from langrec.training import get_params, set_params
-
-        backend, X = self._hier(50)
-        flat = backend.stage2
-        params = get_params(flat)
-        params["detectors"] = params["detectors"] + 0.1
-        self._check(flat, X, lambda b: set_params(b, params))
-        self._check(flat, X, lambda b: setattr(b, "detectors", b.detectors * 2.0))
-        self._check(
-            flat, X, lambda b: setattr(b, "params", dataclasses.replace(b.params, k=3.0))
-        )
-
-    def test_generative_assignments(self):
-        rng = np.random.default_rng(52)
+    def _generative(self, seed):
+        rng = np.random.default_rng(seed)
         train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
-        X = train.vectors[:9]
+        return fit_generative_backend(train, None, out_dim=2), train
+
+    def test_every_field_refuses_assignment(self):
+        hier, _ = self._hier(40)
+        generative, _ = self._generative(41)
+        for backend in (hier, hier.stage2, generative):
+            names = [f.name for f in dataclasses.fields(backend)]
+            assert "tables" in names or "tables2" in names
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(backend, name, getattr(backend, name))
+
+    def test_replacements_score_like_fresh_backends(self):
+        from langrec.training import get_params, with_params
+
+        replace = dataclasses.replace
+        hier, X = self._hier(42)
+        generative, train = self._generative(43)
         other = fit_generative_backend(train, balance_weights(train), out_dim=2)
 
-        def doubled_enroll(backend):
-            e = backend.enroll
-            backend.enroll = EnrollmentStats(counts=2.0 * e.counts, sums=2.0 * e.sums)
+        def scaled_params(backend):
+            return with_params(backend, {k: p * 1.01 for k, p in get_params(backend).items()})
 
-        def new_model(backend):
-            backend.model = other.model
+        def in_stage2(change):
+            return lambda b: replace(b, stage2=change(b.stage2))
 
-        for change in (doubled_enroll, new_model):
-            backend = fit_generative_backend(train, None, out_dim=2)
-            before = backend.score_matrix(X)
-            self._check(backend, X, change)
-            assert not np.array_equal(backend.score_matrix(X), before), change.__name__
+        def new_k(flat):
+            return replace(flat, params=replace(flat.params, k=3.0))
+
+        def zero_b(flat):
+            A = flat.preproc.A
+            return replace(flat, preproc=AffinePreproc(A=A, b=np.zeros(len(A))))
+
+        flat_changes = (
+            scaled_params,
+            new_k,
+            zero_b,
+            lambda b: replace(b, detectors=b.detectors * 2.0),
+            lambda b: replace(b, detectors=b.detectors[::-1]),
+        )
+        e = generative.enroll
+        cases = [(hier.stage2, X, change) for change in flat_changes]
+        cases += [(hier, X, in_stage2(change)) for change in flat_changes]
+        cases += [
+            (hier, X, scaled_params),
+            (hier, X, lambda b: replace(b, shifts=b.shifts + 0.5)),
+            (generative, train.vectors[:9], lambda b: replace(b, model=other.model)),
+            (
+                generative,
+                train.vectors[:9],
+                lambda b: replace(b, enroll=EnrollmentStats(2.0 * e.counts, 2.0 * e.sums)),
+            ),
+        ]
+        for backend, X, change in cases:
+            before = backend.score_matrix(X).tobytes()
+            changed = change(backend)
+            got = changed.score_matrix(X).tobytes()
+            assert got == fresh_copy(changed).score_matrix(X).tobytes()
+            assert got != before
+            assert backend.score_matrix(X).tobytes() == before
 
     def test_generative_in_place_writes_raise(self):
         rng = np.random.default_rng(53)

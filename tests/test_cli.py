@@ -246,6 +246,25 @@ class TestTrainCommand:
             == 2
         )
 
+    def test_hdplda_fits_once_for_all_seeds(self, workdir, tmp_path, monkeypatch):
+        import langrec.cli
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return init_hier(*args, **kwargs)
+
+        init_hier = langrec.cli.init_hier
+        monkeypatch.setattr(langrec.cli, "init_hier", counted)
+        data = workdir / "data"
+        cfg = tmp_path / "seeds.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "seeds": [0, 1]}))
+        argv = ["train", "--kind", "hdplda", str(data / "train.tsv"), str(data / "dev.tsv"),
+                str(cfg), str(tmp_path / "x.json"), "--clusters", str(workdir / "clusters.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
     def test_model_file_round_trip_scores(self, workdir, tmp_path):
         backend, _ = load_model(workdir / "hdplda.json")
         p = tmp_path / "resaved.json"
@@ -601,4 +620,33 @@ def test_bad_cluster_map_is_config_error(workdir, tmp_path, capsys, command, cas
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("langrec: config error:"), err
+    assert "Traceback" not in err
+
+
+# reader -> (its exit code on a file that is not UTF-8, a command reading {bad})
+NOT_UTF8_READERS = {
+    "model": (2, "score {bad} {data}/test.tsv {out}"),
+    "synth-config": (2, "synth {bad} {out}"),
+    "train-config": (2, "train --kind dplda {data}/train.tsv {data}/dev.tsv {bad} {out}"),
+    "cluster-map": (
+        2,
+        "train --kind hdplda {data}/train.tsv {data}/dev.tsv {work}/train.json {out} "
+        "--clusters {bad}",
+    ),
+    "emb-tsv": (1, "score {work}/plda.json {bad} {out}"),
+    "scores": (1, "eval {bad} {data}/test.tsv {out}"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NOT_UTF8_READERS))
+def test_input_that_is_not_utf8_is_named(workdir, tmp_path, capsys, reader):
+    code, command = NOT_UTF8_READERS[reader]
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("#dim=2 café\n".encode("latin-1"))
+    paths = {"work": workdir, "data": workdir / "data", "bad": bad, "out": tmp_path / "out"}
+    capsys.readouterr()
+    assert main([word.format(**paths) for word in command.split()]) == code
+    err = capsys.readouterr().err
+    prefix = "langrec: config error:" if code == 2 else "langrec: error:"
+    assert err.startswith(prefix) and str(bad) in err, err
     assert "Traceback" not in err

@@ -11,6 +11,7 @@ hierarchical loss are checked against finite differences at random
 parameters on the same backends.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -241,7 +242,10 @@ def test_row_at_a_block_shift_is_degenerate():
     rng = np.random.default_rng(12)
     backend = build_hier_backend(rng, singleton=True)
     A2 = backend.stage2.preproc.A
-    backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+    preproc2 = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+    backend = dataclasses.replace(
+        backend, stage2=dataclasses.replace(backend.stage2, preproc=preproc2)
+    )
     x = backend.shifts[backend.combine.blocks[0]]
     with pytest.raises(DegenerateEmbeddingError):
         backend.score_matrix(np.vstack([rng.standard_normal(8), x]))

@@ -311,6 +311,13 @@ class TestBootstrap:
         b = bootstrap_ci(scores, trials, n_boot=4000, seed=2)
         assert abs(a[0] - b[0]) < 0.05 and abs(a[1] - b[1]) < 0.05
 
+    @pytest.mark.parametrize("n_boot", [0, -3, True, 2.5])
+    def test_replicate_count_must_be_a_positive_integer(self, n_boot):
+        rng = np.random.default_rng(11)
+        scores, trials = self._scored_trials(rng, sep=1.0)
+        with pytest.raises(ValueError, match="n_boot must be an integer >= 1"):
+            bootstrap_ci(scores, trials, n_boot=n_boot, seed=0)
+
     def test_all_nontarget_trials_exhaust_redraws(self):
         es = EmbeddingSet(["s1", "s2"], ["x", "y"], ["d"] * 2, np.zeros((2, 2)))
         trials = generate_trials(es, ["a", "b"])  # out-of-set: no targets at all

@@ -24,9 +24,9 @@ from langrec.training import (
     hier_loss_grads,
     multi_seed_train,
     sample_batch,
-    set_params,
     train,
     trial_bce,
+    with_params,
 )
 
 from test_backend import synthetic_set, separated_means
@@ -297,7 +297,10 @@ class TestGradientsHier:
         rng = np.random.default_rng(10)
         backend = build_hier_backend(rng, singleton=True)
         A2 = backend.stage2.preproc.A
-        backend.stage2.preproc = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+        preproc2 = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+        backend = dataclasses.replace(
+            backend, stage2=dataclasses.replace(backend.stage2, preproc=preproc2)
+        )
         ci = backend.stage1.detector_labels.index("b0")
         X = np.vstack([backend.shifts[ci], rng.standard_normal((3, 8))])
         S = backend.score_matrix(X)
@@ -315,6 +318,13 @@ class TestGradientsHier:
         cfg = TrainConfig(alpha=0.5)
         with pytest.raises(ValueError, match="hierarchical"):
             train(backend, train_set, [], cfg)
+
+    def test_no_dev_set_rejected(self):
+        rng = np.random.default_rng(9)
+        train_set = synthetic_set(rng, separated_means(rng, 3, 6), n_per=15)
+        backend = init_from_generative(train_set, None, out_dim=2)
+        with pytest.raises(ValueError, match="dev set"):
+            train(backend, train_set, [], TestTrainLoop.CFG)
 
 
 def test_flat_forward_matches_score_matrix():
@@ -473,7 +483,7 @@ class TestTrainLoop:
     )
 
     def test_returned_backend_shares_no_array_with_the_log(self):
-        # Checkpoints hold Adam's arrays uncopied; the final write-back copies.
+        # Checkpoints hold Adam's arrays uncopied; the returned backend copies.
         train_set, dev_set, trials, backend = small_training_problem()
         result = train(backend, train_set, [(dev_set, trials)], self.CFG, seed=0)
         b = result.backend
@@ -503,11 +513,9 @@ class TestTrainLoop:
         cfg = dataclasses.replace(self.CFG, select_metric="dcf")
         result = train(backend, train_set, [(dev_set, trials)], cfg, seed=0)
         rows, cols = trial_index(dev_set, trials, backend.detector_labels)
-        scorer = copy.deepcopy(result.backend)
         dev_scores = []
         for cp in result.log:
-            set_params(scorer, cp.params)
-            dev_scores.append(scorer.score_matrix(dev_set.vectors))
+            dev_scores.append(with_params(result.backend, cp.params).score_matrix(dev_set.vectors))
             assert cp.dev_losses == (actual_dcf(dev_scores[-1][rows, cols], trials.is_target)[2],)
         best = min(result.log, key=lambda c: (c.avg_dev, c.index))
         assert best.avg_dev < result.log[0].avg_dev
@@ -557,7 +565,7 @@ class TestTrainLoop:
         params["Lambda"] = np.zeros_like(params["Lambda"])
         params["Gamma"] = 1e200 * np.eye(params["Gamma"].shape[0])
         params["detectors"] = 1e100 * np.ones_like(params["detectors"])
-        set_params(backend, params)
+        backend = with_params(backend, params)
         with caplog.at_level("WARNING"):
             result = train(backend, train_set, [(dev_set, trials)], self.CFG, seed=0)
         assert result.diverged
@@ -599,11 +607,7 @@ class TestMultiSeed:
         )
         train_set, dev_set, trials, backend = small_training_problem()
         r1 = train(backend, train_set, [(dev_set, trials)], cfg, seed=4)
-
-        def make_backend():
-            return small_training_problem()[3]
-
-        r2 = multi_seed_train(make_backend, train_set, [(dev_set, trials)], cfg)
+        r2 = multi_seed_train(backend, train_set, [(dev_set, trials)], cfg)
         assert r2.seed == 4
         assert r2.best_avg_dev == pytest.approx(r1.best_avg_dev, rel=1e-12)
 
@@ -612,12 +616,8 @@ class TestMultiSeed:
             batch_size=64, pi=0.1, stages=((10, 1e-3),), finetune=(2, 1e-4),
             checkpoint_every=5, seeds=(2, 2, 2),
         )
-        train_set, dev_set, trials, _ = small_training_problem()
-
-        def make_backend():
-            return small_training_problem()[3]
-
-        r = multi_seed_train(make_backend, train_set, [(dev_set, trials)], cfg)
+        train_set, dev_set, trials, backend = small_training_problem()
+        r = multi_seed_train(backend, train_set, [(dev_set, trials)], cfg)
         assert r.seed == 2
 
     def test_winner_minimizes_dev(self):
@@ -625,14 +625,33 @@ class TestMultiSeed:
             batch_size=64, pi=0.1, stages=((15, 1e-3),), finetune=(2, 1e-4),
             checkpoint_every=5, seeds=(0, 1, 2),
         )
-        train_set, dev_set, trials, _ = small_training_problem()
-
-        def make_backend():
-            return small_training_problem()[3]
-
+        train_set, dev_set, trials, backend = small_training_problem()
         results = [
-            train(make_backend(), train_set, [(dev_set, trials)], cfg, seed=s)
-            for s in cfg.seeds
+            train(backend, train_set, [(dev_set, trials)], cfg, seed=s) for s in cfg.seeds
         ]
-        best = multi_seed_train(make_backend, train_set, [(dev_set, trials)], cfg)
+        best = multi_seed_train(backend, train_set, [(dev_set, trials)], cfg)
         assert best.best_avg_dev == min(r.best_avg_dev for r in results)
+
+    def test_training_leaves_its_backend_as_it_was(self):
+        from langrec.hier import init_hier
+        from test_backend import TestInitHier
+
+        cfg = TrainConfig(
+            batch_size=64, pi=0.1, stages=((10, 1e-3),), finetune=(2, 1e-4),
+            checkpoint_every=5, seeds=(0, 1),
+        )
+        rng = np.random.default_rng(21)
+        train_set, cmap, means = TestInitHier()._clustered_data(rng)
+        dev_set = synthetic_set(rng, means, n_per=10, sigma=0.4, prefix="dev")
+        X = dev_set.vectors
+        for backend in (
+            init_from_generative(train_set, None, out_dim=3),
+            init_hier(train_set, cmap, None, 2, 3),
+        ):
+            dev = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
+            before = backend.score_matrix(X).tobytes()
+            log = train(backend, train_set, dev, cfg).log
+            multi_seed_train(backend, train_set, dev, cfg)
+            assert backend.score_matrix(X).tobytes() == before
+            # Training moved its own parameters.
+            assert any(np.any(p != log[0].params[k]) for k, p in log[-1].params.items())
