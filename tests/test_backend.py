@@ -414,19 +414,26 @@ class TestTablesFollowParameters:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(backend, name, getattr(backend, name))
 
-    def test_replacements_score_like_fresh_backends(self):
+    def _check(self, backend, X, change):
+        """`change` returns a new backend; it must score like one built fresh
+        from its parts, differ from the old one, and leave the old one as it
+        was."""
+        before = backend.score_matrix(X).tobytes()
+        changed = change(backend)
+        got = changed.score_matrix(X).tobytes()
+        assert got == fresh_copy(changed).score_matrix(X).tobytes()
+        assert got != before
+        assert backend.score_matrix(X).tobytes() == before
+
+    @staticmethod
+    def _scaled_params(backend):
         from langrec.training import get_params, with_params
 
+        return with_params(backend, {k: p * 1.01 for k, p in get_params(backend).items()})
+
+    @classmethod
+    def _flat_changes(cls):
         replace = dataclasses.replace
-        hier, X = self._hier(42)
-        generative, train = self._generative(43)
-        other = fit_generative_backend(train, balance_weights(train), out_dim=2)
-
-        def scaled_params(backend):
-            return with_params(backend, {k: p * 1.01 for k, p in get_params(backend).items()})
-
-        def in_stage2(change):
-            return lambda b: replace(b, stage2=change(b.stage2))
 
         def new_k(flat):
             return replace(flat, params=replace(flat.params, k=3.0))
@@ -435,33 +442,43 @@ class TestTablesFollowParameters:
             A = flat.preproc.A
             return replace(flat, preproc=AffinePreproc(A=A, b=np.zeros(len(A))))
 
-        flat_changes = (
-            scaled_params,
+        return (
+            cls._scaled_params,
             new_k,
             zero_b,
             lambda b: replace(b, detectors=b.detectors * 2.0),
             lambda b: replace(b, detectors=b.detectors[::-1]),
         )
+
+    def test_hier_assignments(self):
+        replace = dataclasses.replace
+        hier, X = self._hier(42)
+
+        def in_stage2(change):
+            return lambda b: replace(b, stage2=change(b.stage2))
+
+        for change in self._flat_changes():
+            self._check(hier, X, in_stage2(change))
+        self._check(hier, X, self._scaled_params)
+        self._check(hier, X, lambda b: replace(b, shifts=b.shifts + 0.5))
+
+    def test_flat_assignments(self):
+        hier, X = self._hier(42)
+        for change in self._flat_changes():
+            self._check(hier.stage2, X, change)
+
+    def test_generative_assignments(self):
+        replace = dataclasses.replace
+        generative, train = self._generative(43)
+        X = train.vectors[:9]
+        other = fit_generative_backend(train, balance_weights(train), out_dim=2)
         e = generative.enroll
-        cases = [(hier.stage2, X, change) for change in flat_changes]
-        cases += [(hier, X, in_stage2(change)) for change in flat_changes]
-        cases += [
-            (hier, X, scaled_params),
-            (hier, X, lambda b: replace(b, shifts=b.shifts + 0.5)),
-            (generative, train.vectors[:9], lambda b: replace(b, model=other.model)),
-            (
-                generative,
-                train.vectors[:9],
-                lambda b: replace(b, enroll=EnrollmentStats(2.0 * e.counts, 2.0 * e.sums)),
-            ),
-        ]
-        for backend, X, change in cases:
-            before = backend.score_matrix(X).tobytes()
-            changed = change(backend)
-            got = changed.score_matrix(X).tobytes()
-            assert got == fresh_copy(changed).score_matrix(X).tobytes()
-            assert got != before
-            assert backend.score_matrix(X).tobytes() == before
+        self._check(generative, X, lambda b: replace(b, model=other.model))
+        self._check(
+            generative,
+            X,
+            lambda b: replace(b, enroll=EnrollmentStats(2.0 * e.counts, 2.0 * e.sums)),
+        )
 
     def test_generative_in_place_writes_raise(self):
         rng = np.random.default_rng(53)
