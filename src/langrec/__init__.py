@@ -38,8 +38,8 @@ from .plda import (
     set_log_marginal,
     to_pair_params,
 )
-from .preproc import AffinePreproc, fit_lda, length_normalize
+from .preproc import AffinePreproc, length_normalize
 from .synth import SynthConfig, generate, run_comparison
-from .training import TrainConfig, bce_loss, multi_seed_train, sample_batch, train
+from .training import TrainConfig, multi_seed_train, sample_batch, train
 
 __version__ = "0.1.0"

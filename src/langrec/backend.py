@@ -9,7 +9,9 @@ Both score every sample against every detector.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -32,54 +34,79 @@ from .plda import (
 from .preproc import AffinePreproc, lda, normalized_projection
 
 
-def flat_forward(A, b, tables: PairTables, X):
+FLAT_KEYS = ("A", "b", "Lambda", "Gamma", "c", "k", "detectors")
+
+
+def flat_tables(theta) -> PairTables:
+    """pair_tables of the detectors of a flat stage's parameters theta
+    (FLAT_KEYS), which need not be checked."""
+    return pair_tables(*(theta[key] for key in FLAT_KEYS[2:]))
+
+
+def flat_forward(theta, tables: PairTables, X):
     """The flat forward pass of scoring and training: the scores (N, L) of
-    every raw row of X against the detectors of the pair_tables, and U and
-    the norms of normalized_projection(A, b, X) for the backward pass."""
-    U, norms = normalized_projection(A, b, X)
+    every raw row of X against the detectors of tables (flat_tables of
+    theta), and U and the norms of normalized_projection(A, b, X) for the
+    backward pass."""
+    U, norms = normalized_projection(theta["A"], theta["b"], X)
     return apply_pair_tables(tables, U), U, norms
 
 
 @dataclass(frozen=True)
 class FlatBackend:
-    """Preprocessing chain, pair-score parameters, and detector vectors.
+    """Detector labels and one read-only mapping theta of the stage's
+    parameters, keyed FLAT_KEYS: the affine preprocessing A and b, the
+    pair-score parameters Lambda, Gamma, c and k, and one detector row per
+    label.
 
-    The detector matrix is read-only, and the scoring tables are built once,
-    with the backend; dataclasses.replace makes a backend with other parts.
+    theta is checked once, through AffinePreproc and PairScoreParams, and
+    frozen over their read-only arrays: preproc, params and detectors are
+    views of the same arrays, not copies. The scoring tables are built once,
+    with the backend; dataclasses.replace(backend, theta=...) makes a
+    backend with other parameters.
     """
 
-    preproc: AffinePreproc
-    params: PairScoreParams
     detector_labels: tuple[str, ...]
-    detectors: np.ndarray  # (L, out_dim)
+    theta: Mapping[str, np.ndarray]
+    preproc: AffinePreproc = field(init=False, repr=False, compare=False)
+    params: PairScoreParams = field(init=False, repr=False, compare=False)
     tables: PairTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "detector_labels", tuple(self.detector_labels))
-        object.__setattr__(self, "detectors", read_only(self.detectors))
-        L = len(self.detector_labels)
-        if len(set(self.detector_labels)) != L:
+        labels, theta = tuple(self.detector_labels), self.theta
+        if set(theta) != set(FLAT_KEYS):
+            raise ValueError(f"flat parameters must be keyed {FLAT_KEYS}, got {tuple(theta)}")
+        preproc = AffinePreproc(A=theta["A"], b=theta["b"])
+        params = PairScoreParams(theta["Lambda"], theta["Gamma"], theta["c"], theta["k"])
+        detectors = read_only(theta["detectors"])
+        L = len(labels)
+        if len(set(labels)) != L:
             raise ValueError("detector labels must be unique")
-        if self.detectors.shape != (L, self.preproc.out_dim):
+        if detectors.shape != (L, preproc.out_dim):
             raise ValueError("detector matrix shape disagrees with preprocessing")
-        if self.params.dim != self.preproc.out_dim:
+        if params.dim != preproc.out_dim:
             raise ValueError("pair-score parameter dimension disagrees with preprocessing")
-        if not np.all(np.isfinite(self.detectors)):
+        if not np.all(np.isfinite(detectors)):
             raise ValueError("detector vectors must be finite")
-        object.__setattr__(self, "tables", pair_tables(self.params, self.detectors))
+        arrays = (preproc.A, preproc.b, params.Lambda, params.Gamma, params.c,
+                  read_only(params.k), detectors)
+        theta = MappingProxyType(dict(zip(FLAT_KEYS, arrays)))
+        for name, value in (("detector_labels", labels), ("theta", theta), ("preproc", preproc),
+                            ("params", params), ("tables", flat_tables(theta))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def detectors(self) -> np.ndarray:
+        """(L, out_dim), one row per detector label."""
+        return self.theta["detectors"]
 
     @property
     def n_detectors(self) -> int:
         return len(self.detector_labels)
 
-    @property
-    def forward_params(self) -> tuple:
-        """flat_forward's (A, b, tables)."""
-        return self.preproc.A, self.preproc.b, self.tables
-
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
         """Scores of every row of X (raw embedding space) against every detector."""
-        return flat_forward(*self.forward_params, X)[0]
+        return flat_forward(self.theta, self.tables, X)[0]
 
 
 @dataclass(frozen=True)
@@ -149,12 +176,10 @@ class GenerativeFit(NamedTuple):
         training vectors, so it reproduces the generative mean-enrollment
         scores exactly."""
         detector_labels, rows = group_rows(self.labels)
-        return FlatBackend(
-            preproc=self.preproc,
-            params=to_pair_params(self.model),
-            detector_labels=detector_labels,
-            detectors=np.vstack([self.U[r].mean(axis=0) for r in rows]),
-        )
+        pre, pair = self.preproc, to_pair_params(self.model)
+        detectors = np.vstack([self.U[r].mean(axis=0) for r in rows])
+        arrays = (pre.A, pre.b, pair.Lambda, pair.Gamma, pair.c, pair.k, detectors)
+        return FlatBackend(detector_labels, dict(zip(FLAT_KEYS, arrays)))
 
 
 def fit_generative(

@@ -128,6 +128,8 @@ def cmd_train(args) -> int:
             check_count(key, value, 0 if key == "em_iters" else 1)
         except ValueError as exc:
             raise ConfigError(f"invalid train config: {exc}") from None
+    if config.alpha > 0.0 and args.kind != "hdplda":
+        raise ConfigError(f"invalid train config: alpha > 0 needs kind 'hdplda', not {args.kind!r}")
     out_dim, em_iters = extras.get("out_dim"), extras.get("em_iters", 50)
 
     train_set = load_embeddings(args.train)

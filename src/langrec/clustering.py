@@ -220,7 +220,3 @@ def cluster_map_from_doc(doc) -> ClusterMap:
     ):
         raise ValueError(f"threshold must be a number or null, got {threshold!r}")
     return ClusterMap(clusters, threshold)
-
-
-def cluster_map_from_json(text: str) -> ClusterMap:
-    return cluster_map_from_doc(json.loads(text))

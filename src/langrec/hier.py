@@ -89,14 +89,15 @@ class Stage2Tables(NamedTuple):
     P_W: np.ndarray  # (K,): p_b' W_j for the block b of column j
 
 
-def stage2_tables(A, b, pair, detectors, shifts, info: HierCombineInfo) -> Stage2Tables:
-    """The model side of stage2_scores (pair needs .Lambda, .Gamma, .c, .k).
-    All shifts are projected before the blocks are picked, so a block's
-    tables do not depend on how many clusters are blocks."""
-    tables = pair_tables(pair, detectors[info.cond])
+def stage2_tables(theta2, shifts, info: HierCombineInfo) -> Stage2Tables:
+    """The model side of stage2_scores, from the stage-2 parameters theta2
+    (FLAT_KEYS, unchecked). All shifts are projected before the blocks are
+    picked, so a block's tables do not depend on how many clusters are blocks."""
+    A, Gamma, c = theta2["A"], theta2["Gamma"], theta2["c"]
+    tables = pair_tables(theta2["Lambda"], Gamma, c, theta2["k"], theta2["detectors"][info.cond])
     P = (shifts @ A.T)[info.blocks]
     P_W = np.einsum("kd,dk->k", P[info.cond_block], tables.W)
-    return Stage2Tables(A, b, tables, P, P @ pair.Gamma, P @ pair.c, P_W)
+    return Stage2Tables(A, theta2["b"], tables, P, P @ Gamma, P @ c, P_W)
 
 
 def stage2_scores(t: Stage2Tables, info: HierCombineInfo, X):
@@ -167,12 +168,8 @@ class HierBackend:
             blocks=blocks,
             cond_block=cond_block,
         )
-        s2 = self.stage2
-        t2 = stage2_tables(
-            s2.preproc.A, s2.preproc.b, s2.params, s2.detectors, self.shifts, combine
-        )
         object.__setattr__(self, "combine", combine)
-        object.__setattr__(self, "tables2", t2)
+        object.__setattr__(self, "tables2", stage2_tables(self.stage2.theta, self.shifts, combine))
 
     @property
     def detector_labels(self) -> tuple[str, ...]:
@@ -183,16 +180,18 @@ class HierBackend:
         return len(self.stage2.detector_labels)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        return hier_forward(self.stage1.forward_params, self.tables2, self.combine, X)[0]
+        s1 = self.stage1
+        return hier_forward(s1.theta, s1.tables, self.tables2, self.combine, X)[0]
 
 
-def hier_forward(stage1, stage2: Stage2Tables, info: HierCombineInfo, X):
+def hier_forward(theta1, tables1, stage2: Stage2Tables, info: HierCombineInfo, X):
     """The hierarchical forward pass of scoring and training, on stage 1's
-    (A, b, pair_tables) and the stage2_tables. Returns the scores (N, L) and
-    the backward pass's (S1, U1, norms1, parts2, e_c, e_lc): flat_forward's
-    outputs, stage2_scores's parts and combine_matrix's exponentials."""
+    parameters theta1 and flat_tables, and the stage2_tables. Returns the
+    scores (N, L) and the backward pass's (S1, U1, norms1, parts2, e_c, e_lc):
+    flat_forward's outputs, stage2_scores's parts and combine_matrix's
+    exponentials."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    S1, U1, norms1 = flat_forward(*stage1, X)
+    S1, U1, norms1 = flat_forward(theta1, tables1, X)
     S2, parts2 = stage2_scores(stage2, info, X)
     S, e_c, e_lc = combine_matrix(S1, S2, info)
     return S, (S1, U1, norms1, parts2, e_c, e_lc)

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import FlatBackend, GenerativeBackend
+from .backend import FLAT_KEYS, FlatBackend, GenerativeBackend
 from .clustering import cluster_map_from_doc, cluster_map_to_doc
 from .hier import HierBackend
-from .plda import EnrollmentStats, PairScoreParams, PldaModel
+from .plda import EnrollmentStats, PldaModel
 from .preproc import AffinePreproc
 
 FORMAT_VERSION = "2"
@@ -39,28 +39,11 @@ def _preproc_from(doc: dict) -> AffinePreproc:
     return AffinePreproc(A=np.array(doc["A"]), b=np.array(doc["b"]))
 
 
-def _params_doc(p: PairScoreParams) -> dict:
-    return {
-        "Lambda": p.Lambda.tolist(),
-        "Gamma": p.Gamma.tolist(),
-        "c": p.c.tolist(),
-        "k": p.k,
-    }
-
-
-def _params_from(doc: dict) -> PairScoreParams:
-    return PairScoreParams(
-        Lambda=np.array(doc["Lambda"]),
-        Gamma=np.array(doc["Gamma"]),
-        c=np.array(doc["c"]),
-        k=float(doc["k"]),
-    )
-
-
 def _flat_doc(backend: FlatBackend) -> dict:
+    theta = backend.theta
     return {
         "preproc": _preproc_doc(backend.preproc),
-        "params": _params_doc(backend.params),
+        "params": {key: theta[key].tolist() for key in ("Lambda", "Gamma", "c", "k")},
         "detectors": [
             {"label": lab, "vector": vec.tolist()}
             for lab, vec in zip(backend.detector_labels, backend.detectors)
@@ -69,13 +52,11 @@ def _flat_doc(backend: FlatBackend) -> dict:
 
 
 def _flat_from(doc: dict) -> FlatBackend:
-    dets = doc["detectors"]
-    return FlatBackend(
-        preproc=_preproc_from(doc["preproc"]),
-        params=_params_from(doc["params"]),
-        detector_labels=tuple(d["label"] for d in dets),
-        detectors=np.array([d["vector"] for d in dets]),
-    )
+    dets, pre, par = doc["detectors"], doc["preproc"], doc["params"]
+    arrays = (pre["A"], pre["b"], par["Lambda"], par["Gamma"], par["c"], float(par["k"]),
+              [d["vector"] for d in dets])
+    theta = {key: np.array(a) for key, a in zip(FLAT_KEYS, arrays)}
+    return FlatBackend(tuple(d["label"] for d in dets), theta)
 
 
 def model_to_doc(backend, train_config=None, seed=None) -> dict:

@@ -414,13 +414,13 @@ class PairTables(NamedTuple):
     const: np.ndarray  # (L,): d_j'Gamma d_j + c'd_j + k
 
 
-def pair_tables(params: PairScoreParams, detectors: np.ndarray) -> PairTables:
+def pair_tables(Lambda, Gamma, c, k, detectors) -> PairTables:
     """The detector side of the pairwise scores of the detector rows D (L, d),
-    computed once per model. Reads only params.Lambda, .Gamma, .c and .k;
-    neither matrix need be symmetric."""
+    computed once per model, from plain arrays: neither matrix need be
+    symmetric."""
     D = np.atleast_2d(np.asarray(detectors, dtype=np.float64))
-    const = ((D @ params.Gamma) * D).sum(axis=1) + D @ params.c + params.k
-    return PairTables(params.Gamma, params.c, 2.0 * params.Lambda @ D.T, const)
+    const = ((D @ Gamma) * D).sum(axis=1) + D @ c + k
+    return PairTables(Gamma, c, 2.0 * Lambda @ D.T, const)
 
 
 def apply_pair_tables(tables: PairTables, U: np.ndarray) -> np.ndarray:
@@ -434,7 +434,8 @@ def pair_score_matrix(
     params: PairScoreParams, detectors: np.ndarray, U: np.ndarray
 ) -> np.ndarray:
     """Pairwise scores of every test row in U against every detector row: (N, L)."""
-    return apply_pair_tables(pair_tables(params, detectors), U)
+    p = params
+    return apply_pair_tables(pair_tables(p.Lambda, p.Gamma, p.c, p.k, detectors), U)
 
 
 def approx_llr(params: PairScoreParams, enroll: np.ndarray, test: np.ndarray) -> float:

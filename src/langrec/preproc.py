@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataio import ClassStats, check_weights, class_stats, group_rows, read_only
+from .dataio import ClassStats, read_only
 
 logger = logging.getLogger(__name__)
 
@@ -91,15 +91,6 @@ def apply(preproc: AffinePreproc, x: np.ndarray) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("apply expects a single vector")
     return length_normalize(preproc.A @ x + preproc.b)
-
-
-def fit_lda(X, labels, weights: np.ndarray | None, out_dim: int | None = None) -> AffinePreproc:
-    """lda of the classes of the rows of X, one label per row."""
-    X = np.asarray(X, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("embedding vectors must be finite (no NaN/Inf)")
-    classes, rows = group_rows(labels)
-    return lda(classes, class_stats(X, rows, check_weights(weights, len(X))), out_dim)
 
 
 def lda(classes, stats: ClassStats, out_dim: int | None = None) -> AffinePreproc:

@@ -6,9 +6,13 @@ pairwise score polynomial, the length normalization, and the hierarchical
 log-domain combination, optimized with Adam over a staged schedule with
 balanced batches and dev-based checkpoint selection.
 
-The engine works on plain parameter dictionaries (see get_params). Adam
-never writes in place, so checkpoints keep its dictionaries uncopied; only
-the backend returned for the best one copies them.
+The engine works on dictionaries of parameter arrays keyed by get_params's
+names: a flat stage's FLAT_KEYS, the keys of the mapping a FlatBackend keeps
+as its only parameter store, prefixed "stage1." and "stage2." beside
+"shifts" for a hierarchical backend. The loss functions read such a
+dictionary unchecked, and with_params builds a backend on it. Adam never
+writes in place, so checkpoints keep its dictionaries uncopied; only the
+backend returned for the best one copies them.
 """
 
 from __future__ import annotations
@@ -16,16 +20,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
-from .backend import FlatBackend, flat_forward
+from .backend import FLAT_KEYS, FlatBackend, flat_forward, flat_tables
 from .dataio import EmbeddingSet, TrialSet, check_count, group_rows, trial_index
 from .hier import HierBackend, HierCombineInfo, hier_forward, stage2_tables
 from .metrics import actual_dcf
-from .plda import PairScoreParams, pair_tables
-from .preproc import AffinePreproc
 
 logger = logging.getLogger(__name__)
 
@@ -80,19 +81,15 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def bce_loss(scores: np.ndarray, label_idx: np.ndarray, pi: float) -> float:
-    """Weighted binary cross-entropy over an (n, L) score batch.
+def _bce_loss_grad(scores, label_idx, pi):
+    """Weighted binary cross-entropy over an (n, L) score batch, and its
+    gradient by the scores.
 
     Each row contributes one positive trial (its label column) and L-1
     negative trials; positives are weighted pi / P and negatives
     (1 - pi) / N with P = n and N = n (L - 1). Scores are shifted by
     log(pi / (1 - pi)) before the sigmoid.
     """
-    loss, _ = _bce_loss_grad(scores, label_idx, pi)
-    return loss
-
-
-def _bce_loss_grad(scores, label_idx, pi):
     scores = np.asarray(scores, dtype=np.float64)
     n, L = scores.shape
     if L < 2:
@@ -135,42 +132,21 @@ def trial_bce(scores: np.ndarray, is_target: np.ndarray, pi: float) -> float:
 # Parameter dictionaries
 
 
-def _flat_param_dict(backend: FlatBackend, prefix: str = "") -> dict[str, np.ndarray]:
-    return {
-        prefix + "A": backend.preproc.A.copy(),
-        prefix + "b": backend.preproc.b.copy(),
-        prefix + "Lambda": backend.params.Lambda.copy(),
-        prefix + "Gamma": backend.params.Gamma.copy(),
-        prefix + "c": backend.params.c.copy(),
-        prefix + "k": np.array(backend.params.k, dtype=np.float64),
-        prefix + "detectors": backend.detectors.copy(),
-    }
-
-
 def get_params(backend) -> dict[str, np.ndarray]:
-    """Copy of every trainable parameter group, keyed by name."""
+    """Writable copy of every trainable parameter group, keyed by name: a
+    flat backend's FLAT_KEYS, or a hierarchical one's with the prefixes
+    "stage1." and "stage2.", and "shifts"."""
     if isinstance(backend, HierBackend):
-        params = _flat_param_dict(backend.stage1, "stage1.")
-        params.update(_flat_param_dict(backend.stage2, "stage2."))
+        params = {
+            f"{name}.{key}": p.copy()
+            for name in ("stage1", "stage2")
+            for key, p in getattr(backend, name).theta.items()
+        }
         params["shifts"] = backend.shifts.copy()
         return params
     if isinstance(backend, FlatBackend):
-        return _flat_param_dict(backend)
+        return {key: p.copy() for key, p in backend.theta.items()}
     raise TypeError(f"unsupported backend type {type(backend).__name__}")
-
-
-def _with_flat_params(backend: FlatBackend, params, prefix: str = "") -> FlatBackend:
-    return replace(
-        backend,
-        preproc=AffinePreproc(A=params[prefix + "A"], b=params[prefix + "b"]),
-        params=PairScoreParams(
-            Lambda=params[prefix + "Lambda"],
-            Gamma=params[prefix + "Gamma"],
-            c=params[prefix + "c"],
-            k=float(params[prefix + "k"]),
-        ),
-        detectors=params[prefix + "detectors"],
-    )
 
 
 def with_params(backend, params: dict[str, np.ndarray]):
@@ -179,12 +155,12 @@ def with_params(backend, params: dict[str, np.ndarray]):
     if isinstance(backend, HierBackend):
         return replace(
             backend,
-            stage1=_with_flat_params(backend.stage1, params, "stage1."),
-            stage2=_with_flat_params(backend.stage2, params, "stage2."),
+            stage1=replace(backend.stage1, theta=_stage(params, "stage1.")),
+            stage2=replace(backend.stage2, theta=_stage(params, "stage2.")),
             shifts=params["shifts"],
         )
     if isinstance(backend, FlatBackend):
-        return _with_flat_params(backend, params)
+        return replace(backend, theta=params)
     raise TypeError(f"unsupported backend type {type(backend).__name__}")
 
 
@@ -192,32 +168,28 @@ def with_params(backend, params: dict[str, np.ndarray]):
 # Forward / reverse passes on parameter dictionaries
 
 
-def _forward_params(params, prefix):
-    """(A, b, pair, detectors) of a stage, unchecked: finite-difference checks perturb
-    Lambda and Gamma entry-wise, and divergence must surface as non-finite values."""
-    pair = SimpleNamespace(
-        Lambda=params[prefix + "Lambda"],
-        Gamma=params[prefix + "Gamma"],
-        c=params[prefix + "c"],
-        k=float(params[prefix + "k"]),
-    )
-    return params[prefix + "A"], params[prefix + "b"], pair, params[prefix + "detectors"]
+def _stage(params, prefix):
+    """One flat stage's parameters (FLAT_KEYS) in params, unchecked:
+    finite-difference checks perturb Lambda and Gamma entry-wise, and
+    divergence must surface as non-finite values."""
+    return {key: params[prefix + key] for key in FLAT_KEYS}
 
 
-def _pair_backward(pair, detectors, U, G):
+def _pair_backward(theta, U, G):
     """Gradients of sum(G * S) through the pairwise score matrix S of the rows
-    U (N, d) against detectors (L, d), G (N, L). Exact for arbitrary
-    (possibly asymmetric) stored Lambda/Gamma, which keeps entry-wise
+    U (N, d) against the detectors (L, d) of theta, G (N, L). Exact for
+    arbitrary (possibly asymmetric) Lambda/Gamma, which keeps entry-wise
     finite-difference checks honest."""
+    detectors, Lambda, c = theta["detectors"], theta["Lambda"], theta["c"]
     row_sum = G.sum(axis=1)
     col_sum = G.sum(axis=0)
     g_Lambda = 2.0 * U.T @ G @ detectors
     g_Gamma = (U * row_sum[:, None]).T @ U + (detectors * col_sum[:, None]).T @ detectors
     g_c = U.T @ row_sum + detectors.T @ col_sum
     g_k = np.array(G.sum())
-    sym_G = pair.Gamma + pair.Gamma.T
-    g_det = 2.0 * G.T @ U @ pair.Lambda + col_sum[:, None] * (detectors @ sym_G + pair.c)
-    g_U = 2.0 * G @ detectors @ pair.Lambda.T + row_sum[:, None] * (U @ sym_G + pair.c)
+    sym_G = theta["Gamma"] + theta["Gamma"].T
+    g_det = 2.0 * G.T @ U @ Lambda + col_sum[:, None] * (detectors @ sym_G + c)
+    g_U = 2.0 * G @ detectors @ Lambda.T + row_sum[:, None] * (U @ sym_G + c)
     return g_Lambda, g_Gamma, g_c, g_k, g_det, g_U
 
 
@@ -226,10 +198,9 @@ def _lengthnorm_backward(g_U, U, norms):
     return (g_U - inner[:, None] * U) / norms[:, None]
 
 
-def _flat_stage_grads(stage, prefix, X, G, U, norms):
-    """Gradients of one flat stage (_forward_params) with input X and score gradient G."""
-    _, _, pair, dets = stage
-    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(pair, dets, U, G)
+def _flat_stage_grads(theta, prefix, X, G, U, norms):
+    """Gradients of one flat stage (_stage) with input X and score gradient G."""
+    g_Lambda, g_Gamma, g_c, g_k, g_det, g_U = _pair_backward(theta, U, G)
     g_Z = _lengthnorm_backward(g_U, U, norms)
     return {
         prefix + "A": g_Z.T @ X,
@@ -244,10 +215,9 @@ def _flat_stage_grads(stage, prefix, X, G, U, norms):
 
 def flat_loss_grads(params, X, label_idx, pi):
     """Loss and gradients for a flat backend given its parameter dict."""
-    stage = _forward_params(params, "")
-    S, U, norms = flat_forward(*stage[:2], pair_tables(*stage[2:]), X)
+    S, U, norms = flat_forward(params, flat_tables(params), X)
     loss, G = _bce_loss_grad(S, label_idx, pi)
-    grads = _flat_stage_grads(stage, "", X, G, U, norms)
+    grads = _flat_stage_grads(params, "", X, G, U, norms)
     _check_finite(loss, grads)
     return loss, grads
 
@@ -264,10 +234,9 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     -sum_n g_D_nb, so g_A gains sum_b g_p_b s_b' and g_s_b = A' g_p_b.
     """
     shifts = params["shifts"]
-    stage1, stage2 = _forward_params(params, "stage1."), _forward_params(params, "stage2.")
-    A2, _, pair2, dets2 = stage2
-    t1, t2 = pair_tables(*stage1[2:]), stage2_tables(*stage2, shifts, info)
-    S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward((*stage1[:2], t1), t2, info, X)
+    theta1, theta2 = _stage(params, "stage1."), _stage(params, "stage2.")
+    t1, t2 = flat_tables(theta1), stage2_tables(theta2, shifts, info)
+    S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward(theta1, t1, t2, info, X)
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)
     loss = (1.0 - alpha) * loss_lan
@@ -286,12 +255,12 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
         loss += alpha * loss_clu
         G1 += alpha * G_clu
 
-    grads = _flat_stage_grads(stage1, "stage1.", X, G1, U1, norms1)
+    grads = _flat_stage_grads(theta1, "stage1.", X, G1, U1, norms1)
 
     Z, n, cross, quad, lin = parts2
-    P, W, c, block = t2.P, t2.pair.W, pair2.c, info.cond_block
+    P, W, c, block = t2.P, t2.pair.W, theta2["c"], info.cond_block
     in_block = np.eye(len(info.blocks))[block]  # (K, B)
-    V = dets2[info.cond]
+    V = theta2["detectors"][info.cond]
     H = G2 / n[:, block]
     h, col, R = H.sum(axis=0), G2.sum(axis=0), G2 @ in_block
     w, r = R / n**2, R / n
@@ -299,14 +268,14 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     # sum_b x_nb D_nb (N, d) and sum_n x_nb D_nb (B, d), for x = w and a
     w_rows, a_rows = (Z * x.sum(axis=1)[:, None] - x @ P for x in (w, a))
     w_blocks, a_blocks = (x.T @ Z - x.sum(axis=0)[:, None] * P for x in (w, a))
-    sym_G = pair2.Gamma + pair2.Gamma.T
+    sym_G = theta2["Gamma"] + theta2["Gamma"].T
     g_Z = H @ W.T + w_rows @ sym_G - a_rows + r.sum(axis=1)[:, None] * c
     g_P = a_blocks - w_blocks @ sym_G - r.sum(axis=0)[:, None] * c - in_block.T @ (h * W).T
     Y = Z.T @ H - P[block].T * h  # (d, K): sum_n H_nj D_nb for column j's block b
-    g_dets2 = np.zeros_like(dets2)
-    g_dets2[info.cond] = 2.0 * Y.T @ pair2.Lambda + col[:, None] * (V @ sym_G + c)
+    g_dets2 = np.zeros_like(theta2["detectors"])
+    g_dets2[info.cond] = 2.0 * Y.T @ theta2["Lambda"] + col[:, None] * (V @ sym_G + c)
     g_shifts = np.zeros_like(shifts)
-    g_shifts[info.blocks] = g_P @ A2
+    g_shifts[info.blocks] = g_P @ theta2["A"]
     grads.update(
         {
             "stage2.A": g_Z.T @ X + g_P.T @ shifts[info.blocks],

@@ -15,7 +15,7 @@ from langrec.clustering import cluster_priors
 from langrec.dataio import EmbeddingSet, balance_weights
 from langrec.hier import combine_llr, init_hier, prior_odds
 from langrec.modelio import ModelFormatError, model_from_doc, model_to_doc
-from langrec.plda import EnrollmentStats, PairScoreParams, approx_llr, to_pair_params
+from langrec.plda import EnrollmentStats, approx_llr, to_pair_params
 from langrec.preproc import AffinePreproc
 
 
@@ -102,13 +102,9 @@ class TestScoreAll:
 
     def test_zero_params_zero_scores(self):
         rng = np.random.default_rng(3)
-        p = AffinePreproc(A=np.eye(3), b=np.zeros(3))
-        backend = FlatBackend(
-            preproc=p,
-            params=PairScoreParams(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), 0.0),
-            detector_labels=("a", "b"),
-            detectors=rng.standard_normal((2, 3)),
-        )
+        zero = {"Lambda": np.zeros((3, 3)), "Gamma": np.zeros((3, 3)), "c": np.zeros(3), "k": 0.0}
+        theta = {"A": np.eye(3), "b": np.zeros(3), **zero, "detectors": rng.standard_normal((2, 3))}
+        backend = FlatBackend(("a", "b"), theta)
         assert np.all(backend.score_matrix(rng.standard_normal(3)[None])[0] == 0.0)
 
     def test_pure_function(self):
@@ -124,10 +120,8 @@ class TestScoreAll:
         backend = init_from_generative(train, None, out_dim=3)
         perm = [2, 0, 3, 1]
         permuted = FlatBackend(
-            preproc=backend.preproc,
-            params=backend.params,
-            detector_labels=tuple(backend.detector_labels[i] for i in perm),
-            detectors=backend.detectors[perm],
+            tuple(backend.detector_labels[i] for i in perm),
+            {**backend.theta, "detectors": backend.detectors[perm]},
         )
         x = rng.standard_normal(6)
         assert np.allclose(permuted.score_matrix(x[None])[0], backend.score_matrix(x[None])[0][perm])
@@ -333,7 +327,7 @@ class TestInitHier:
         base = backend.score_matrix(x)
         # A larger stage-2 offset k raises every conditional score by 0.5.
         s2 = backend.stage2
-        s2 = dataclasses.replace(s2, params=dataclasses.replace(s2.params, k=s2.params.k + 0.5))
+        s2 = dataclasses.replace(s2, theta={**s2.theta, "k": s2.params.k + 0.5})
         backend = dataclasses.replace(backend, stage2=s2)
         assert np.all(backend.score_matrix(x) > base)
 
@@ -413,6 +407,11 @@ class TestTablesFollowParameters:
             for name in names:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(backend, name, getattr(backend, name))
+        for stage in (hier.stage1, hier.stage2):
+            with pytest.raises(TypeError):
+                stage.theta["k"] = 0.0
+            with pytest.raises(TypeError):
+                del stage.theta["A"]
 
     def _check(self, backend, X, change):
         """`change` returns a new backend; it must score like one built fresh
@@ -435,19 +434,15 @@ class TestTablesFollowParameters:
     def _flat_changes(cls):
         replace = dataclasses.replace
 
-        def new_k(flat):
-            return replace(flat, params=replace(flat.params, k=3.0))
-
-        def zero_b(flat):
-            A = flat.preproc.A
-            return replace(flat, preproc=AffinePreproc(A=A, b=np.zeros(len(A))))
+        def changed(parts):
+            return lambda flat: replace(flat, theta={**flat.theta, **parts(flat)})
 
         return (
             cls._scaled_params,
-            new_k,
-            zero_b,
-            lambda b: replace(b, detectors=b.detectors * 2.0),
-            lambda b: replace(b, detectors=b.detectors[::-1]),
+            changed(lambda flat: {"k": 3.0}),
+            changed(lambda flat: {"b": np.zeros_like(flat.theta["b"])}),
+            changed(lambda flat: {"detectors": flat.detectors * 2.0}),
+            changed(lambda flat: {"detectors": flat.detectors[::-1]}),
         )
 
     def test_hier_assignments(self):
@@ -493,20 +488,19 @@ class TestTablesFollowParameters:
             backend.tables = None
 
     def test_in_place_writes_raise(self):
+        """Every parameter array refuses writes, and preproc, params and
+        detectors are views of the stage's theta, not copies of it."""
         backend, X = self._hier(51)
         backend.score_matrix(X)
-        arrays = [
-            backend.shifts,
-            backend.stage2.detectors,
-            backend.stage2.preproc.A,
-            backend.stage2.preproc.b,
-            backend.stage2.params.Lambda,
-            backend.stage2.params.Gamma,
-            backend.stage2.params.c,
-            backend.stage1.detectors,
-        ]
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] += 1.0
+        for stage in (backend.stage1, backend.stage2):
+            theta, pre, par = stage.theta, stage.preproc, stage.params
+            views = {"A": pre.A, "b": pre.b, "Lambda": par.Lambda, "Gamma": par.Gamma,
+                     "c": par.c, "detectors": stage.detectors}
+            for key, view in views.items():
+                assert np.shares_memory(view, theta[key]), key
+            assert theta["k"] == par.k
+            for a in (*theta.values(), *views.values()):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] += 1.0
         with pytest.raises(ValueError, match="read-only"):
             backend.shifts[1] += 1

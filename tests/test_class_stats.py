@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from langrec.backend import generative_fit
 from langrec.dataio import EmbeddingSet, balance_weights, class_stats, group_rows
 from langrec.hier import init_hier
-from langrec.preproc import fit_lda, lda
+from langrec.preproc import lda
 from langrec.synth import SynthConfig, generate
+
+from test_preproc import fit_lda
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

@@ -246,6 +246,23 @@ class TestTrainCommand:
             == 2
         )
 
+    @pytest.mark.parametrize("kind", ["plda", "dplda"])
+    def test_alpha_without_hierarchy_exits_2_before_reading_data(
+        self, workdir, tmp_path, capsys, kind
+    ):
+        # The train file does not exist: reading data first would exit 1.
+        cfg = tmp_path / "alpha.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "alpha": 0.5}))
+        code = main(
+            [
+                "train", "--kind", kind, str(tmp_path / "absent.tsv"),
+                str(workdir / "data" / "dev.tsv"), str(cfg), str(tmp_path / "x.json"),
+            ]
+        )
+        assert code == 2
+        assert "alpha > 0 needs kind 'hdplda'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_hdplda_fits_once_for_all_seeds(self, workdir, tmp_path, monkeypatch):
         import langrec.cli
 

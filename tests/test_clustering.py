@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from langrec.clustering import (
     ClusterMap,
     MergeStep,
     agglomerate,
-    cluster_map_from_json,
+    cluster_map_from_doc,
     cluster_map_to_json,
     cluster_priors,
     linkage_merges,
@@ -239,5 +241,5 @@ class TestClusterMapJson:
     def test_round_trip(self):
         cmap = cluster_priors({"a": ("a", "b"), "c": ("c",)}, threshold=3.5)
         text = cluster_map_to_json(cmap)
-        loaded = cluster_map_from_json(text)
+        loaded = cluster_map_from_doc(json.loads(text))
         assert loaded == cmap

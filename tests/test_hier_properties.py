@@ -25,7 +25,7 @@ from langrec.hier import (
     HierBackend, combine_llr, combine_matrix, prior_odds, stage2_scores, stage2_tables,
 )
 from langrec.plda import PairScoreParams, pair_score, pair_score_matrix
-from langrec.preproc import AffinePreproc, DegenerateEmbeddingError
+from langrec.preproc import DegenerateEmbeddingError
 from langrec.training import get_params, hier_loss_grads
 
 from test_training import build_hier_backend, finite_difference_check, random_symmetric
@@ -35,17 +35,16 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 
 def random_stage(rng, labels, in_dim, out_dim):
     return FlatBackend(
-        preproc=AffinePreproc(
-            A=rng.standard_normal((out_dim, in_dim)), b=0.3 * rng.standard_normal(out_dim)
-        ),
-        params=PairScoreParams(
-            Lambda=random_symmetric(rng, out_dim, 0.5),
-            Gamma=random_symmetric(rng, out_dim, 0.3),
-            c=0.3 * rng.standard_normal(out_dim),
-            k=float(rng.standard_normal()),
-        ),
-        detector_labels=labels,
-        detectors=rng.standard_normal((len(labels), out_dim)),
+        labels,
+        {
+            "A": rng.standard_normal((out_dim, in_dim)),
+            "b": 0.3 * rng.standard_normal(out_dim),
+            "Lambda": random_symmetric(rng, out_dim, 0.5),
+            "Gamma": random_symmetric(rng, out_dim, 0.3),
+            "c": 0.3 * rng.standard_normal(out_dim),
+            "k": rng.standard_normal(),
+            "detectors": rng.standard_normal((len(labels), out_dim)),
+        },
     )
 
 
@@ -225,7 +224,7 @@ def test_rows_near_a_shift_keep_difference_accuracy(problem, k, seed):
     D = z - A @ s
     n = np.linalg.norm(D)
     assume(n > 1e-9)
-    tables = stage2_tables(A, b, p, s2.detectors, backend.shifts, info)
+    tables = stage2_tables(s2.theta, backend.shifts, info)
     got = stage2_scores(tables, info, x[None, :])[0][0]
     eps = np.finfo(float).eps
     for col in np.flatnonzero(info.cond_block == blk):
@@ -241,10 +240,9 @@ def test_row_at_a_block_shift_is_degenerate():
     languages has no stage-2 direction there: scoring raises."""
     rng = np.random.default_rng(12)
     backend = build_hier_backend(rng, singleton=True)
-    A2 = backend.stage2.preproc.A
-    preproc2 = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+    theta2 = {**backend.stage2.theta, "b": np.zeros_like(backend.stage2.theta["b"])}
     backend = dataclasses.replace(
-        backend, stage2=dataclasses.replace(backend.stage2, preproc=preproc2)
+        backend, stage2=dataclasses.replace(backend.stage2, theta=theta2)
     )
     x = backend.shifts[backend.combine.blocks[0]]
     with pytest.raises(DegenerateEmbeddingError):

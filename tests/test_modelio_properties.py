@@ -76,11 +76,7 @@ def arrays(backend) -> dict:
              "P_lc": info.P_lc, "blocks": info.blocks, "cond_block": info.cond_block}
         )
         return out
-    p = backend.params
-    return {
-        "A": backend.preproc.A, "b": backend.preproc.b, "Lambda": p.Lambda,
-        "Gamma": p.Gamma, "c": p.c, "k": np.array(p.k), "detectors": backend.detectors,
-    }
+    return dict(backend.theta)
 
 
 def bits(a: np.ndarray):

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from langrec.preproc import AffinePreproc, apply, fit_lda, length_normalize
+from langrec.dataio import check_weights, class_stats, group_rows
+from langrec.preproc import AffinePreproc, apply, lda, length_normalize
+
+
+def fit_lda(X, labels, weights, out_dim=None):
+    """lda of the classes of the rows of X, one label per row."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("embedding vectors must be finite (no NaN/Inf)")
+    classes, rows = group_rows(labels)
+    return lda(classes, class_stats(X, rows, check_weights(weights, len(X))), out_dim)
 
 
 def brute_force_lda_directions(X, labels, weights, out_dim):

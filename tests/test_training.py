@@ -10,15 +10,12 @@ from langrec.clustering import cluster_priors
 from langrec.dataio import EmbeddingSet, generate_trials, group_rows, trial_index
 from langrec.hier import HierBackend
 from langrec.metrics import actual_dcf
-from langrec.plda import PairScoreParams
-from langrec.preproc import AffinePreproc
 from langrec.training import (
     TrainConfig,
     _bce_loss_grad,
     _softplus,
     adam_init,
     adam_step,
-    bce_loss,
     flat_loss_grads,
     get_params,
     hier_loss_grads,
@@ -73,6 +70,11 @@ def finite_difference_check(loss_fn, params, h=1e-5, floor=1e-4):
             worst = max(worst, err)
             it.iternext()
     return worst
+
+
+def bce_loss(scores, label_idx, pi):
+    """The loss of training._bce_loss_grad alone."""
+    return _bce_loss_grad(scores, label_idx, pi)[0]
 
 
 class TestBceLoss:
@@ -228,16 +230,6 @@ class TestGradientsFlat:
             assert np.linalg.norm(np.atleast_1d(g)) < 1e-12
 
 
-def flat_backend(p, labels):
-    """The FlatBackend holding the parameter dict p."""
-    return FlatBackend(
-        preproc=AffinePreproc(A=p["A"], b=p["b"]),
-        params=PairScoreParams(p["Lambda"], p["Gamma"], p["c"], float(p["k"])),
-        detector_labels=labels,
-        detectors=p["detectors"],
-    )
-
-
 def build_hier_backend(rng, in_dim=8, out1=3, out2=3, singleton=False):
     """Hand-built 2-cluster hierarchical backend with random parameters."""
     if singleton:
@@ -246,10 +238,42 @@ def build_hier_backend(rng, in_dim=8, out1=3, out2=3, singleton=False):
         cmap = cluster_priors({"a0": ("a0", "a1"), "b0": ("b0", "b1")})
     langs = cmap.languages
     clusters = cmap.cluster_names
-    stage1 = flat_backend(random_flat_params(rng, in_dim, out1, len(clusters)), clusters)
-    stage2 = flat_backend(random_flat_params(rng, in_dim, out2, len(langs)), langs)
+    stage1 = FlatBackend(clusters, random_flat_params(rng, in_dim, out1, len(clusters)))
+    stage2 = FlatBackend(langs, random_flat_params(rng, in_dim, out2, len(langs)))
     shifts = rng.standard_normal((len(clusters), in_dim)) * 0.5
     return HierBackend(stage1=stage1, stage2=stage2, shifts=shifts, cluster_map=cmap)
+
+
+class TestParameterDicts:
+    """get_params and with_params convert between a backend and the training
+    engine's parameter dictionary without changing a bit."""
+
+    @staticmethod
+    def backends():
+        rng = np.random.default_rng(31)
+        flat = FlatBackend(("w", "x", "y", "z"), random_flat_params(rng, 8, 3, 4))
+        return flat, build_hier_backend(rng)
+
+    def test_round_trip_is_bit_identical(self):
+        for backend in self.backends():
+            params = {key: 1.5 * p for key, p in get_params(backend).items()}
+            got = get_params(with_params(backend, params))
+            assert list(got) == list(params)
+            for key, p in params.items():
+                assert np.asarray(p).dtype == got[key].dtype == np.float64
+                assert np.asarray(p).shape == got[key].shape, key
+                assert np.asarray(p).tobytes() == got[key].tobytes(), key
+
+    def test_copies_are_writable_and_share_no_memory(self):
+        for backend in self.backends():
+            stages = (backend.stage1, backend.stage2) if hasattr(backend, "stage1") else (backend,)
+            stored = [p for stage in stages for p in stage.theta.values()]
+            stored += [backend.shifts] if hasattr(backend, "shifts") else []
+            params = get_params(backend)
+            assert len(params) == len(stored)
+            for key, p in params.items():
+                assert p.flags.writeable, key
+                assert not any(np.shares_memory(p, q) for q in stored), key
 
 
 class TestGradientsHier:
@@ -296,10 +320,9 @@ class TestGradientsHier:
         # still scores its cluster score and still trains.
         rng = np.random.default_rng(10)
         backend = build_hier_backend(rng, singleton=True)
-        A2 = backend.stage2.preproc.A
-        preproc2 = AffinePreproc(A=A2, b=np.zeros(len(A2)))
+        theta2 = {**backend.stage2.theta, "b": np.zeros_like(backend.stage2.theta["b"])}
         backend = dataclasses.replace(
-            backend, stage2=dataclasses.replace(backend.stage2, preproc=preproc2)
+            backend, stage2=dataclasses.replace(backend.stage2, theta=theta2)
         )
         ci = backend.stage1.detector_labels.index("b0")
         X = np.vstack([backend.shifts[ci], rng.standard_normal((3, 8))])
@@ -331,7 +354,7 @@ def test_flat_forward_matches_score_matrix():
     rng = np.random.default_rng(8)
     params = random_flat_params(rng, 8, 3, 4)
     X = rng.standard_normal((5, 8))
-    S = flat_backend(params, ("w", "x", "y", "z")).score_matrix(X)
+    S = FlatBackend(("w", "x", "y", "z"), params).score_matrix(X)
     y = np.arange(5) % 4
     loss, _ = flat_loss_grads(params, X, y, pi=0.1)
     assert loss == bce_loss(S, y, 0.1)
@@ -351,7 +374,7 @@ class TestDegenerateRow:
         params = random_flat_params(rng, 4, 2, 3)
         X = np.vstack([rng.standard_normal((2, 4)), zero_norm_row(params["A"], params["b"])])
         with pytest.raises(ValueError, match="degenerate embedding"):
-            flat_backend(params, ("x", "y", "z")).score_matrix(X)
+            FlatBackend(("x", "y", "z"), params).score_matrix(X)
         with pytest.raises(FloatingPointError, match="degenerate embedding"):
             flat_loss_grads(params, X, np.array([0, 1, 2]), 0.1)
 
@@ -589,12 +612,7 @@ class TestTrainLoop:
 
     def test_unknown_training_language_rejected(self):
         train_set, dev_set, trials, backend = small_training_problem()
-        bad = FlatBackend(
-            preproc=backend.preproc,
-            params=backend.params,
-            detector_labels=tuple(f"other{i}" for i in range(backend.n_detectors)),
-            detectors=backend.detectors,
-        )
+        bad = FlatBackend(tuple(f"other{i}" for i in range(backend.n_detectors)), backend.theta)
         with pytest.raises(ValueError, match="without a detector"):
             train(bad, train_set, [(dev_set, trials)], self.CFG)
 
