@@ -37,17 +37,11 @@ from .preproc import AffinePreproc, lda, normalized_projection
 FLAT_KEYS = ("A", "b", "Lambda", "Gamma", "c", "k", "detectors")
 
 
-def flat_tables(theta) -> PairTables:
-    """pair_tables of the detectors of a flat stage's parameters theta
-    (FLAT_KEYS), which need not be checked."""
-    return pair_tables(*(theta[key] for key in FLAT_KEYS[2:]))
-
-
 def flat_forward(theta, tables: PairTables, X):
     """The flat forward pass of scoring and training: the scores (N, L) of
-    every raw row of X against the detectors of tables (flat_tables of
-    theta), and U and the norms of normalized_projection(A, b, X) for the
-    backward pass."""
+    every raw row of X against the detectors of the pair_tables of theta
+    (FLAT_KEYS), and U and the norms of normalized_projection(A, b, X) for
+    the backward pass."""
     U, norms = normalized_projection(theta["A"], theta["b"], X)
     return apply_pair_tables(tables, U), U, norms
 
@@ -90,10 +84,12 @@ class FlatBackend:
             raise ValueError("detector vectors must be finite")
         arrays = (preproc.A, preproc.b, params.Lambda, params.Gamma, params.c,
                   read_only(params.k), detectors)
-        theta = MappingProxyType(dict(zip(FLAT_KEYS, arrays)))
-        for name, value in (("detector_labels", labels), ("theta", theta), ("preproc", preproc),
-                            ("params", params), ("tables", flat_tables(theta))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "detector_labels", labels)
+        object.__setattr__(self, "theta", MappingProxyType(dict(zip(FLAT_KEYS, arrays))))
+        object.__setattr__(self, "preproc", preproc)
+        object.__setattr__(self, "params", params)
+        tables = pair_tables(params.Lambda, params.Gamma, params.c, params.k, detectors)
+        object.__setattr__(self, "tables", tables)
 
     @property
     def detectors(self) -> np.ndarray:

@@ -186,7 +186,7 @@ class HierBackend:
 
 def hier_forward(theta1, tables1, stage2: Stage2Tables, info: HierCombineInfo, X):
     """The hierarchical forward pass of scoring and training, on stage 1's
-    parameters theta1 and flat_tables, and the stage2_tables. Returns the
+    parameters theta1 and their pair_tables, and the stage2_tables. Returns the
     scores (N, L) and the backward pass's (S1, U1, norms1, parts2, e_c, e_lc):
     flat_forward's outputs, stage2_scores's parts and combine_matrix's
     exponentials."""

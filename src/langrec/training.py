@@ -23,10 +23,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backend import FLAT_KEYS, FlatBackend, flat_forward, flat_tables
+from .backend import FLAT_KEYS, FlatBackend, flat_forward
 from .dataio import EmbeddingSet, TrialSet, check_count, group_rows, trial_index
 from .hier import HierBackend, HierCombineInfo, hier_forward, stage2_tables
 from .metrics import actual_dcf
+from .plda import pair_tables
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +176,11 @@ def _stage(params, prefix):
     return {key: params[prefix + key] for key in FLAT_KEYS}
 
 
+def _tables(theta):
+    """pair_tables of one flat stage's parameters."""
+    return pair_tables(theta["Lambda"], theta["Gamma"], theta["c"], theta["k"], theta["detectors"])
+
+
 def _pair_backward(theta, U, G):
     """Gradients of sum(G * S) through the pairwise score matrix S of the rows
     U (N, d) against the detectors (L, d) of theta, G (N, L). Exact for
@@ -215,7 +221,7 @@ def _flat_stage_grads(theta, prefix, X, G, U, norms):
 
 def flat_loss_grads(params, X, label_idx, pi):
     """Loss and gradients for a flat backend given its parameter dict."""
-    S, U, norms = flat_forward(params, flat_tables(params), X)
+    S, U, norms = flat_forward(params, _tables(params), X)
     loss, G = _bce_loss_grad(S, label_idx, pi)
     grads = _flat_stage_grads(params, "", X, G, U, norms)
     _check_finite(loss, grads)
@@ -235,7 +241,7 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     """
     shifts = params["shifts"]
     theta1, theta2 = _stage(params, "stage1."), _stage(params, "stage2.")
-    t1, t2 = flat_tables(theta1), stage2_tables(theta2, shifts, info)
+    t1, t2 = _tables(theta1), stage2_tables(theta2, shifts, info)
     S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward(theta1, t1, t2, info, X)
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)

@@ -107,6 +107,16 @@ class TestScoreAll:
         backend = FlatBackend(("a", "b"), theta)
         assert np.all(backend.score_matrix(rng.standard_normal(3)[None])[0] == 0.0)
 
+    def test_parameters_need_exactly_the_flat_keys(self):
+        rng = np.random.default_rng(3)
+        train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=15)
+        backend = init_from_generative(train, None, out_dim=2)
+        theta = backend.theta
+        missing = {key: p for key, p in theta.items() if key != "c"}
+        for bad in (missing, {**theta, "shifts": theta["c"]}):
+            with pytest.raises(ValueError, match="keyed"):
+                FlatBackend(backend.detector_labels, bad)
+
     def test_pure_function(self):
         rng = np.random.default_rng(4)
         train = synthetic_set(rng, separated_means(rng, 3, 5), n_per=20)
