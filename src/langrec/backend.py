@@ -46,7 +46,7 @@ def flat_forward(theta, tables: PairTables, X):
     return apply_pair_tables(tables, U), U, norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatBackend:
     """Detector labels and one read-only mapping theta of the stage's
     parameters, keyed FLAT_KEYS: the affine preprocessing A and b, the
@@ -62,9 +62,9 @@ class FlatBackend:
 
     detector_labels: tuple[str, ...]
     theta: Mapping[str, np.ndarray]
-    preproc: AffinePreproc = field(init=False, repr=False, compare=False)
-    params: PairScoreParams = field(init=False, repr=False, compare=False)
-    tables: PairTables = field(init=False, repr=False, compare=False)
+    preproc: AffinePreproc = field(init=False, repr=False)
+    params: PairScoreParams = field(init=False, repr=False)
+    tables: PairTables = field(init=False, repr=False)
 
     def __post_init__(self):
         labels, theta = tuple(self.detector_labels), self.theta
@@ -105,7 +105,7 @@ class FlatBackend:
         return flat_forward(self.theta, self.tables, X)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerativeBackend:
     """Exact-scoring PLDA backend with per-language enrollment statistics.
 
@@ -117,7 +117,7 @@ class GenerativeBackend:
     model: PldaModel
     detector_labels: tuple[str, ...]
     enroll: EnrollmentStats
-    tables: ExactLlrTables = field(init=False, repr=False, compare=False)
+    tables: ExactLlrTables = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detector_labels", tuple(self.detector_labels))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, metrics, modelio
-from .backend import fit_generative_backend, generative_fit
+from .backend import fit_generative_backend, init_from_generative
 from .dataio import (
     ParseError,
     TrialSet,
@@ -130,6 +130,10 @@ def cmd_train(args) -> int:
             raise ConfigError(f"invalid train config: {exc}") from None
     if config.alpha > 0.0 and args.kind != "hdplda":
         raise ConfigError(f"invalid train config: alpha > 0 needs kind 'hdplda', not {args.kind!r}")
+    if args.kind == "hdplda":
+        if not args.clusters:
+            raise ConfigError("kind 'hdplda' requires --clusters")
+        cmap = _load_cluster_map(args.clusters)
     out_dim, em_iters = extras.get("out_dim"), extras.get("em_iters", 50)
 
     train_set = load_embeddings(args.train)
@@ -149,17 +153,10 @@ def cmd_train(args) -> int:
     dev_sets = [(dev_set, dev_trials)]
 
     if args.kind == "dplda":
-        backend = generative_fit(train_set, weights, out_dim, em_iters=em_iters).flat_backend()
-
-    elif args.kind == "hdplda":
-        if not args.clusters:
-            raise ConfigError("kind 'hdplda' requires --clusters")
-        cmap = _load_cluster_map(args.clusters)
+        backend = init_from_generative(train_set, weights, out_dim, em_iters=em_iters)
+    else:
         out_dim1, out_dim2 = extras.get("out_dim1"), extras.get("out_dim2")
         backend = init_hier(train_set, cmap, weights, out_dim1, out_dim2, em_iters=em_iters)
-
-    else:
-        raise ConfigError(f"unknown model kind {args.kind!r}")
 
     result = multi_seed_train(backend, train_set, dev_sets, config)
     modelio.save_model(args.out, result.backend, train_config=doc, seed=result.seed)

@@ -113,7 +113,7 @@ class EmbeddingSet:
         return classes, atoms.pooled(group_index(members, len(atom_labels)), len(classes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialSet:
     """Enumerated detection trials: one row per (sample, detector) pair."""
 

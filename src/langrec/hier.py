@@ -51,7 +51,7 @@ def combine_llr(L_c: float, L_lc: float, P_c: float, P_lc: float) -> float:
     return L_c + L_lc + math.log(P_c + P_lc + 1.0) - lse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierCombineInfo:
     """Fixed combination tables of a hierarchical backend (not trained).
 
@@ -122,7 +122,7 @@ def stage2_scores(t: Stage2Tables, info: HierCombineInfo, X):
     return S2, (Z, norms, cross, quad, lin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierBackend:
     """Two flat stages, per-cluster shift vectors, and the cluster map.
 
@@ -136,8 +136,8 @@ class HierBackend:
     stage2: FlatBackend
     shifts: np.ndarray  # (C, D)
     cluster_map: ClusterMap
-    combine: HierCombineInfo = field(init=False, repr=False, compare=False)
-    tables2: Stage2Tables = field(init=False, repr=False, compare=False)
+    combine: HierCombineInfo = field(init=False, repr=False)
+    tables2: Stage2Tables = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", read_only(self.shifts))

@@ -70,7 +70,7 @@ def _chol_inverse(L: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PldaModel:
     """Two-covariance model: mean mu, between precision B_prec, within
     precision W, in read-only arrays."""
@@ -108,7 +108,7 @@ class PldaModel:
         return self.mu.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairScoreParams:
     """Parameters of the single-enrollment pairwise score polynomial, in
     read-only arrays."""
@@ -290,7 +290,7 @@ def exact_llr(model: PldaModel, enroll: np.ndarray, test: np.ndarray) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnrollmentStats:
     """Per-detector sufficient statistics for vectorized exact scoring, in
     read-only arrays."""
@@ -310,7 +310,7 @@ def enrollment_stats(groups: list[np.ndarray]) -> EnrollmentStats:
     return EnrollmentStats(counts=counts, sums=np.vstack([g.sum(axis=0) for g in groups]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactLlrTables:
     """Per-detector tables of exact scoring in the diagonal basis.
 

@@ -21,7 +21,7 @@ _COND_LIMIT = 1e10
 _RIDGE_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinePreproc:
     """Affine map y = A x + b in read-only arrays; callers length-normalize
     the output."""

@@ -182,7 +182,7 @@ def tune_hierarchy(
     return threshold, backend
 
 
-@dataclass
+@dataclass(eq=False)
 class ComparisonResult:
     report: dict  # system -> subset -> MetricReport dict
     cluster_map: ClusterMap

@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -311,7 +312,7 @@ def _check_finite(loss, grads):
 # Adam
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -381,7 +382,7 @@ def sample_batch(
 # Training loop
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
     index: int
     batches_seen: int
@@ -395,7 +396,7 @@ class Checkpoint:
         return float(np.mean(self.dev_losses))
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainResult:
     backend: object
     log: list[Checkpoint]
@@ -463,75 +464,50 @@ def train(
     evaluate_dev = dev_evaluator(
         backend.detector_labels, dev_sets, config.pi, config.select_metric
     )
-
-    is_hier = isinstance(backend, HierBackend)
-    info = backend.combine if is_hier else None
-    if config.alpha > 0.0 and not is_hier:
+    if isinstance(backend, HierBackend):
+        loss_grads = partial(
+            hier_loss_grads, info=backend.combine, pi=config.pi, alpha=config.alpha
+        )
+    elif config.alpha > 0.0:
         raise ValueError("alpha > 0 requires a hierarchical backend")
+    else:
+        loss_grads = partial(flat_loss_grads, pi=config.pi)
     if not dev_sets:
         raise ValueError("training needs at least one dev set to select checkpoints on")
 
     rng = np.random.default_rng(seed)
     params = get_params(backend)
-    checkpoints: list[Checkpoint] = []
-
-    def record(batches_seen, lr, train_loss):
-        checkpoints.append(
-            Checkpoint(
-                index=len(checkpoints),
-                batches_seen=batches_seen,
-                lr=lr,
-                train_loss=train_loss,
-                dev_losses=evaluate_dev(with_params(backend, params)),
-                params=params,
-            )
-        )
-
-    record(0, 0.0, float("nan"))
-    batches_seen = 0
-    diverged = False
-
-    def run_stage(n_batches, lr):
-        nonlocal params, batches_seen, diverged
-        state = adam_init(params)
-        running: list[float] = []
+    dev_losses = evaluate_dev(with_params(backend, params))
+    log = [Checkpoint(0, 0, 0.0, float("nan"), dev_losses, params)]
+    best, batches_seen, diverged = log[0], 0, False
+    for stage, (n_batches, lr) in enumerate((*config.stages, config.finetune)):
+        if stage == len(config.stages):  # the fine-tune starts from the best checkpoint
+            params = best.params
+        state, running = adam_init(params), []
         for b in range(n_batches):
             idx = sample_batch(groups, config.batch_size, rng)
-            X = train_set.vectors[idx]
-            y = label_idx_all[idx]
+            X, y = train_set.vectors[idx], label_idx_all[idx]
             try:
-                if is_hier:
-                    loss, grads = hier_loss_grads(params, info, X, y, config.pi, config.alpha)
-                else:
-                    loss, grads = flat_loss_grads(params, X, y, config.pi)
+                loss, grads = loss_grads(params, X=X, label_idx=y)
             except FloatingPointError as exc:
                 logger.warning("training diverged (%s); falling back to best checkpoint", exc)
                 diverged = True
-                return
+                break
             params = adam_step(params, grads, state, lr)
             running.append(loss)
             batches_seen += 1
             if batches_seen % config.checkpoint_every == 0 or b == n_batches - 1:
-                record(batches_seen, lr, float(np.mean(running)))
+                train_loss = float(np.mean(running))
+                dev_losses = evaluate_dev(with_params(backend, params))
+                log.append(Checkpoint(len(log), batches_seen, lr, train_loss, dev_losses, params))
+                best = min(best, log[-1], key=lambda c: (c.avg_dev, c.index))
                 running = []
-
-    for n_batches, lr in config.stages:
-        run_stage(n_batches, lr)
         if diverged:
             break
 
-    def best_checkpoint():
-        return min(checkpoints, key=lambda c: (c.avg_dev, c.index))
-
-    params = best_checkpoint().params
-    n_ft, lr_ft = config.finetune
-    if not diverged and n_ft > 0:
-        run_stage(n_ft, lr_ft)
-
-    best = best_checkpoint()
     return TrainResult(
         backend=with_params(backend, {k: p.copy() for k, p in best.params.items()}),
-        log=checkpoints,
+        log=log,
         best_avg_dev=best.avg_dev,
         best_index=best.index,
         seed=seed,

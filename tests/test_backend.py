@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from langrec.backend import (
     init_from_generative,
 )
 from langrec.clustering import cluster_priors
-from langrec.dataio import EmbeddingSet, balance_weights
+from langrec.dataio import EmbeddingSet, balance_weights, generate_trials
 from langrec.hier import combine_llr, init_hier, prior_odds
 from langrec.modelio import ModelFormatError, model_from_doc, model_to_doc
 from langrec.plda import EnrollmentStats, approx_llr, to_pair_params
 from langrec.preproc import AffinePreproc
+from langrec.synth import ComparisonResult
+from langrec.training import Checkpoint, TrainResult, adam_init, get_params
 
 
 def synthetic_set(rng, lang_means, n_per=40, sigma=0.2, n_datasets=1, prefix="s"):
@@ -514,3 +517,54 @@ class TestTablesFollowParameters:
                     a[...] += 1.0
         with pytest.raises(ValueError, match="read-only"):
             backend.shifts[1] += 1
+
+
+def _equal_copy(value):
+    """value with every array copied: a distinct object with equal contents."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, Mapping):
+        return {k: _equal_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_equal_copy(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        parts = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+        return dataclasses.replace(value, **{k: _equal_copy(v) for k, v in parts.items()})
+    return value
+
+
+@pytest.fixture(scope="module")
+def array_holders():
+    """One instance of each dataclass that holds arrays, by class name."""
+    rng = np.random.default_rng(61)
+    train, cmap, _ = TestInitHier()._clustered_data(rng, n_per=10)
+    flat = init_from_generative(train, None, out_dim=3)
+    gen = fit_generative_backend(train, None, out_dim=3, em_iters=3)
+    hier = init_hier(train, cmap, None, 2, 3, em_iters=3)
+    trials = generate_trials(train, flat.detector_labels)
+    params = get_params(flat)
+    cp = Checkpoint(0, 0, 0.0, float("nan"), (1.0,), params)
+    instances = [
+        flat, gen, hier, hier.combine, flat.preproc, gen.model, flat.params, gen.enroll,
+        gen.tables, trials, adam_init(params), cp, TrainResult(flat, [cp], 1.0, 0, 0),
+        ComparisonResult({}, cmap, {"plda": gen.score_matrix(train.vectors)}, trials),
+    ]
+    return {type(x).__name__: x for x in instances}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "FlatBackend", "GenerativeBackend", "HierBackend", "HierCombineInfo", "AffinePreproc",
+        "PldaModel", "PairScoreParams", "EnrollmentStats", "ExactLlrTables", "TrialSet",
+        "AdamState", "Checkpoint", "TrainResult", "ComparisonResult",
+    ],
+)
+def test_array_holders_compare_and_hash_by_identity(array_holders, name):
+    x = array_holders[name]
+    twin = _equal_copy(x)
+    assert twin is not x and type(twin) is type(x)
+    assert not (x == twin)
+    assert x != twin
+    assert x == x
+    assert hash(x) == hash(x) != hash(twin)

@@ -233,18 +233,20 @@ class TestTrainCommand:
         assert code == 2
         assert "unknown key 'train_seed'" in capsys.readouterr().err
 
-    def test_hdplda_without_clusters_exits_2(self, workdir, tmp_path):
+    @pytest.mark.parametrize("train_file", ["existing", "absent"])
+    def test_hdplda_without_clusters_exits_2(self, workdir, tmp_path, capsys, train_file):
+        # An absent train file exits 1 if it is read before the option is checked.
         data = workdir / "data"
+        train = data / "train.tsv" if train_file == "existing" else tmp_path / "absent.tsv"
         cfg = workdir / "train.json"
-        assert (
-            main(
-                [
-                    "train", "--kind", "hdplda", str(data / "train.tsv"),
-                    str(data / "dev.tsv"), str(cfg), str(tmp_path / "x.json"),
-                ]
-            )
-            == 2
+        code = main(
+            [
+                "train", "--kind", "hdplda", str(train),
+                str(data / "dev.tsv"), str(cfg), str(tmp_path / "x.json"),
+            ]
         )
+        assert code == 2
+        assert "requires --clusters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["plda", "dplda"])
     def test_alpha_without_hierarchy_exits_2_before_reading_data(

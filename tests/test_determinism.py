@@ -3,12 +3,14 @@
 Each run is a fresh interpreter, because OpenBLAS reads its thread count
 once, when numpy is first imported.
 
-All three models are fitted inside each run, and the flat discriminative
-model is trained there too. Class statistics are summed class by class,
-and the statistics of a class made of several languages (a cluster) are
-pooled from those of its languages, so no BLAS product runs over all rows
-of the training set (2000 x 64 here) or of a cluster (400 and 600 rows):
-products that large can split differently at different thread counts.
+All three models are fitted inside each run, and both discriminative
+models are trained there too; those runs check that training moved the
+scores, so that the hash is of a trained model. Class statistics are
+summed class by class, and the statistics of a class made of several
+languages (a cluster) are pooled from those of its languages, so no BLAS
+product runs over all rows of the training set (2000 x 64 here) or of a
+cluster (400 and 600 rows): products that large can split differently at
+different thread counts.
 """
 
 import os
@@ -43,20 +45,30 @@ L = len(train_set.language_inventory())
 backend = init_from_generative(train_set, weights, L - 1)
 dev_sets = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
 config = TrainConfig(stages=((40, 5e-4),), finetune=(10, 1e-5), checkpoint_every=20)
-train(backend, train_set, dev_sets, config)
-print(hashlib.sha256(backend.score_matrix(test_set.vectors).tobytes()).hexdigest())
+trained = train(backend, train_set, dev_sets, config).backend
+scores = trained.score_matrix(test_set.vectors)
+assert (scores != backend.score_matrix(test_set.vectors)).any(), "training left the scores"
+print(hashlib.sha256(scores.tobytes()).hexdigest())
 """
 
 HDPLDA_SCRIPT = """
 import hashlib
-from langrec.dataio import balance_weights
+from langrec.dataio import balance_weights, generate_trials
 from langrec.hier import init_hier
 from langrec.synth import SynthConfig, generate
+from langrec.training import TrainConfig, train
 
-train_set, _, test_set, truth = generate(SynthConfig(seed=5))
+train_set, dev_set, test_set, truth = generate(SynthConfig(seed=5))
 backend = init_hier(train_set, truth, balance_weights(train_set))
-scores = [backend.score_matrix(test_set.vectors)]
-scores += [backend.score_matrix(test_set.vectors[i : i + 1]) for i in range(0, len(test_set), 37)]
+dev_sets = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
+config = TrainConfig(
+    alpha=0.3, stages=((40, 5e-4),), finetune=(10, 1e-5), checkpoint_every=20
+)
+trained = train(backend, train_set, dev_sets, config).backend
+X = test_set.vectors
+assert (trained.score_matrix(X) != backend.score_matrix(X)).any(), "training left the scores"
+scores = [trained.score_matrix(X)]
+scores += [trained.score_matrix(X[i : i + 1]) for i in range(0, len(test_set), 37)]
 print(hashlib.sha256(b"".join(s.tobytes() for s in scores)).hexdigest())
 """
 

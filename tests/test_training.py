@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import langrec.training
 from langrec.backend import FlatBackend, init_from_generative
 from langrec.clustering import cluster_priors
 from langrec.dataio import EmbeddingSet, generate_trials, group_rows, trial_index
@@ -615,6 +616,65 @@ class TestTrainLoop:
         bad = FlatBackend(tuple(f"other{i}" for i in range(backend.n_detectors)), backend.theta)
         with pytest.raises(ValueError, match="without a detector"):
             train(bad, train_set, [(dev_set, trials)], self.CFG)
+
+
+class TestSchedule:
+    """Two stages and a fine-tune, a checkpoint every 2 batches and at the
+    end of each stage."""
+
+    A, B, C = 1e-3, 2e-3, 1e-4
+    CFG = TrainConfig(
+        batch_size=32, pi=0.1, stages=((5, A), (3, B)), finetune=(2, C), checkpoint_every=2
+    )
+
+    @staticmethod
+    def script_dev_losses(monkeypatch, losses):
+        """Checkpoint i gets the dev loss losses[i]."""
+        it = iter(losses)
+        monkeypatch.setattr(langrec.training, "dev_evaluator", lambda *a: lambda b: (next(it),))
+
+    def test_checkpoint_positions_and_learning_rates(self):
+        train_set, dev_set, trials, backend = small_training_problem()
+        log = train(backend, train_set, [(dev_set, trials)], self.CFG).log
+        A, B, C = self.A, self.B, self.C
+        assert [cp.index for cp in log] == list(range(7))
+        assert [cp.batches_seen for cp in log] == [0, 2, 4, 5, 6, 8, 10]
+        assert [cp.lr for cp in log] == [0.0, A, A, A, B, B, C]
+
+    def test_finetune_starts_from_the_best_checkpoint(self, monkeypatch):
+        # Checkpoint 2 is best; stage 2 still continues from stage 1's last
+        # parameters (checkpoint 3), and the fine-tune from checkpoint 2's.
+        self.script_dev_losses(monkeypatch, [5.0, 4.0, 1.0, 3.0, 2.0, 6.0, 7.0])
+        starts = []
+
+        def spy(params):
+            starts.append(params)
+            return adam_init(params)
+
+        monkeypatch.setattr(langrec.training, "adam_init", spy)
+        train_set, dev_set, trials, backend = small_training_problem()
+        result = train(backend, train_set, [(dev_set, trials)], self.CFG)
+        log = result.log
+        assert len(starts) == 3
+        assert starts[1] is log[3].params
+        assert starts[2] is log[2].params
+        assert result.best_index == 2 and not result.diverged
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_finetune_returns_the_best_stage_checkpoint(self, monkeypatch, caplog):
+        # A huge fine-tune rate: its first step blows the parameters up and
+        # its second batch has a non-finite loss.
+        self.script_dev_losses(monkeypatch, [5.0, 4.0, 3.0, 1.0, 2.0, 6.0])
+        train_set, dev_set, trials, backend = small_training_problem()
+        cfg = dataclasses.replace(self.CFG, finetune=(2, 1e150))
+        with caplog.at_level("WARNING"):
+            result = train(backend, train_set, [(dev_set, trials)], cfg)
+        assert result.diverged
+        assert any("diverged" in r.message for r in caplog.records)
+        assert [cp.batches_seen for cp in result.log] == [0, 2, 4, 5, 6, 8]
+        assert result.best_index == 3 and result.best_avg_dev == 1.0
+        got = get_params(result.backend)
+        assert all(np.array_equal(got[k], p) for k, p in result.log[3].params.items())
 
 
 class TestMultiSeed:
