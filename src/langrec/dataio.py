@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 EMB_TSV_HEADER = "#dim="
 
@@ -91,7 +92,8 @@ class EmbeddingSet:
 
         They are pooled from the statistics of each language, or of each
         (language, label) group where labels split a language. The
-        per-language ones are computed once per weight vector: the set keeps
+        per-language ones, with the condition number of their scatter
+        (ClassStats.cond), are computed once per weight vector: the set keeps
         them, keyed by the bytes of the weights, until other weights ask.
         """
         weights = check_weights(weights, len(self))
@@ -103,7 +105,8 @@ class EmbeddingSet:
         if np.all(labels == atom_labels[index]):
             key = weights.tobytes()
             if self._kept_stats is None or self._kept_stats[0] != key:
-                self._kept_stats = (key, class_stats(self.vectors, rows, weights))
+                stats = class_stats(self.vectors, rows, weights).with_cond()
+                self._kept_stats = (key, stats)
             atoms = self._kept_stats[1]
         else:
             pairs, rows = group_rows(zip(self.languages, labels))
@@ -370,22 +373,44 @@ class ClassStats(NamedTuple):
     sums: np.ndarray  # (C, d) weighted sums f
     sizes: np.ndarray  # (C,) row counts
     scatter: np.ndarray  # (d, d) within-class scatter, summed over the classes
+    cond: float | None = None  # condition number of scatter / sum(counts), once known
+
+    def with_cond(self) -> "ClassStats":
+        """These statistics with cond computed, unless it is known already.
+
+        The scatter is symmetric positive semi-definite, so its singular
+        values are the magnitudes of its eigenvalues, which cost a fraction
+        of an SVD. cond is inf for a singular scatter.
+        """
+        if self.cond is not None:
+            return self
+        magnitudes = np.abs(np.linalg.eigvalsh(self.scatter / self.counts.sum()))
+        with np.errstate(over="ignore"):
+            cond = magnitudes.max() / magnitudes.min() if magnitudes.min() > 0 else np.inf
+        return self._replace(cond=float(cond))
 
     def pooled(self, owner: np.ndarray, n_classes: int) -> "ClassStats":
         """The statistics of n_classes unions of these classes, class a going
-        to union owner[a]. A union's scatter is the sum of its classes' plus
+        to union owner[a]: these themselves if every class is its own union.
+        A union's scatter is the sum of its classes' plus
         sum_a n_a (m_a - m)(m_a - m)' over their means m_a about its mean m."""
+        if n_classes == len(owner) and np.array_equal(owner, np.arange(n_classes)):
+            return self
         counts, sums = np.zeros(n_classes), np.zeros((n_classes, self.sums.shape[1]))
         sizes = np.zeros(n_classes, dtype=np.intp)
         np.add.at(counts, owner, self.counts)
         np.add.at(sums, owner, self.sums)
         np.add.at(sizes, owner, self.sizes)
         D = self.sums / self.counts[:, None] - (sums / counts[:, None])[owner]
-        return ClassStats(counts, sums, sizes, self.scatter + (self.counts[:, None] * D).T @ D)
+        # dsyrk copies the scatter, adds the rank-k term to its upper triangle
+        # and leaves the lower one as it was.
+        upper = dsyrk(1.0, (np.sqrt(self.counts)[:, None] * D).T, beta=1.0, c=self.scatter)
+        return ClassStats(counts, sums, sizes, mirror_upper(upper))
 
     def shifted(self, shifts: np.ndarray) -> "ClassStats":
         """The statistics after every row of class a moves by -shifts[a]:
-        the sums become f_a - n_a s_a and the scatter is unchanged."""
+        the sums become f_a - n_a s_a; the scatter, and so cond, is
+        unchanged."""
         return self._replace(sums=self.sums - self.counts[:, None] * shifts)
 
 
@@ -400,14 +425,23 @@ def group_index(rows: list[np.ndarray], n: int) -> np.ndarray:
 def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray) -> ClassStats:
     """The ClassStats of the classes `rows`, summed one class at a time:
     unlike one product over all rows, that keeps the scatter independent of
-    the BLAS thread count."""
+    the BLAS thread count. Each class adds its scatter to the upper triangle
+    by one rank-k update (dsyrk) of its rows sqrt(w) (x - m), half a full
+    product's work; the lower triangle is the mirror of the upper."""
     if sum(r.size for r in rows) != len(X):
         raise ValueError("labels must have one entry per row")
-    counts = np.array([weights[r].sum() for r in rows])
-    sums = np.vstack([weights[r] @ X[r] for r in rows])
-    scatter = np.zeros((X.shape[1], X.shape[1]))
-    for r, mean in zip(rows, sums / counts[:, None]):
-        D = X[r] - mean
-        scatter += (weights[r][:, None] * D).T @ D
+    counts, sums = np.empty(len(rows)), np.empty((len(rows), X.shape[1]))
+    upper = np.zeros((X.shape[1], X.shape[1]), order="F")
+    for i, r in enumerate(rows):
+        X_r, w_r = X[r], weights[r]
+        counts[i], sums[i] = w_r.sum(), w_r @ X_r
+        D = (X_r - sums[i] / counts[i]) * np.sqrt(w_r)[:, None]
+        # D.T is Fortran-ordered, so the update reads D in place.
+        upper = dsyrk(1.0, D.T, beta=1.0, c=upper, overwrite_c=True)
     sizes = np.array([r.size for r in rows], dtype=np.intp)
-    return ClassStats(counts, sums, sizes, scatter)
+    return ClassStats(counts, sums, sizes, mirror_upper(upper))
+
+
+def mirror_upper(upper: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix with the upper triangle of `upper`."""
+    return np.triu(upper) + np.triu(upper, 1).T

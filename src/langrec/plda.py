@@ -165,7 +165,8 @@ def em_train(
     weights = weights * (n / weights.sum())
 
     classes, rows = group_rows(labels)
-    n_l, f_l, _, W_cov = class_stats(X, rows, weights)
+    stats = class_stats(X, rows, weights)
+    n_l, f_l, W_cov = stats.counts, stats.sums, stats.scatter
     if len(classes) < 2:
         raise ValueError("EM needs at least 2 classes")
     total, J = weights.sum(), len(classes)

@@ -98,50 +98,64 @@ def lda(classes, stats: ClassStats, out_dim: int | None = None) -> AffinePreproc
     from the statistics of the classes alone.
 
     Rows of A are the leading generalized eigenvectors of the weighted
-    between-class scatter against the weighted within-class scatter, scaled
-    and shifted so the projected training data has zero mean and unit
-    variance per component. out_dim defaults to its rank bound,
-    #classes - 1, and may not exceed it; every class needs at least two
-    samples.
+    between-class scatter S_b against the weighted within-class scatter
+    S_w, scaled and shifted so the projected training data has zero mean
+    and unit variance per component. They are found through the total
+    scatter S_tot = S_w + S_b = L L' (Cholesky): the generalized
+    eigenvectors of S_b against S_tot are the same, with eigenvalue
+    lambda / (1 + lambda), and S_b = M M' for the d x C matrix M of
+    sqrt(n_c / n)-weighted centred class means, so they are L'^-1 times the
+    leading left singular vectors of L^-1 M (a thin SVD). out_dim defaults
+    to its rank bound, #classes - 1, and may exceed neither that nor the
+    input dimension; every class needs at least two samples. An
+    ill-conditioned S_w (stats.cond, computed here unless known) gets a
+    ridge.
     """
+    in_dim = stats.sums.shape[1]
     if out_dim is None:
         out_dim = len(classes) - 1
     if out_dim > len(classes) - 1:
         raise ValueError(
             f"out_dim {out_dim} exceeds LDA rank bound #classes-1 = {len(classes) - 1}"
         )
+    if out_dim > in_dim:
+        raise ValueError(f"out_dim {out_dim} exceeds the input dimension {in_dim}")
     if out_dim < 1:
         raise ValueError("out_dim must be >= 1")
     for cls, size in zip(classes, stats.sizes):
         if size < 2:
             raise ValueError(f"class {cls!r} has fewer than 2 samples")
 
-    in_dim = stats.sums.shape[1]
     total_w = stats.counts.sum()
     global_mean = stats.sums.sum(axis=0) / total_w
     Dm = stats.sums / stats.counts[:, None] - global_mean
-    S_b = (stats.counts[:, None] * Dm).T @ Dm / total_w
+    M = (np.sqrt(stats.counts / total_w)[:, None] * Dm).T
+    S_b = M @ M.T
     S_w = stats.scatter / total_w
     S_tot = S_w + S_b
 
-    # S_w is symmetric positive semi-definite: its singular values are the
-    # magnitudes of its eigenvalues, which cost a fraction of an SVD.
-    magnitudes = np.abs(np.linalg.eigvalsh(S_w))
-    with np.errstate(over="ignore"):
-        cond = magnitudes.max() / magnitudes.min() if magnitudes.min() > 0 else np.inf
+    cond = stats.with_cond().cond
+    S_fit = S_tot
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         ridge = _RIDGE_SCALE * np.trace(S_w) / in_dim
         logger.warning(
             "within-class scatter ill-conditioned (cond=%.3g); adding ridge %.3g", cond, ridge
         )
-        S_w = S_w + ridge * np.eye(in_dim)
+        if ridge == 0:  # S_w is zero: no ridge can repair it
+            raise ValueError("within-class scatter is singular: it is zero")
+        S_fit = S_tot + ridge * np.eye(in_dim)
 
     try:
-        # Only the out_dim leading directions: a fraction cheaper than all.
-        eigvecs = scipy.linalg.eigh(S_b, S_w, subset_by_index=[in_dim - out_dim, in_dim - 1])[1]
+        L = scipy.linalg.cholesky(S_fit, lower=True)  # ValueError if not finite
+        U = scipy.linalg.svd(
+            scipy.linalg.solve_triangular(L, M, lower=True, check_finite=False),
+            full_matrices=False, check_finite=False,
+        )[0]
+        A0 = scipy.linalg.solve_triangular(
+            L, U[:, :out_dim], trans="T", lower=True, check_finite=False
+        ).T
     except scipy.linalg.LinAlgError as exc:
         raise ValueError(f"within-class scatter is singular: {exc}") from exc
-    A0 = eigvecs[:, ::-1].T
     # Sign convention: largest-magnitude component of each direction positive.
     A0 *= np.sign(A0[np.arange(out_dim), np.argmax(np.abs(A0), axis=1)])[:, None]
 

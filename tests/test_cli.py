@@ -265,6 +265,24 @@ class TestTrainCommand:
         assert "alpha > 0 needs kind 'hdplda'" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_lda_dimension_above_the_embedding_dimension_exits_1(self, tmp_path, capsys):
+        # Ten languages of 8-d embeddings: the default out_dim is 9.
+        synth_cfg = tmp_path / "synth.json"
+        synth_cfg.write_text(json.dumps({"dim": 8, "n_train": 5, "n_dev": 2, "n_test": 2}))
+        assert main(["synth", str(synth_cfg), str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        data, train_cfg = tmp_path / "data", tmp_path / "train.json"
+        train_cfg.write_text(json.dumps(TRAIN_CONFIG))
+        code = main(
+            [
+                "train", "--kind", "plda", str(data / "train.tsv"),
+                str(data / "dev.tsv"), str(train_cfg), str(tmp_path / "plda.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "out_dim 9 exceeds the input dimension 8" in err and "Traceback" not in err
+
     def test_hdplda_fits_once_for_all_seeds(self, workdir, tmp_path, monkeypatch):
         import langrec.cli
 

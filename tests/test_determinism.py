@@ -10,7 +10,9 @@ summed class by class, and the statistics of a class made of several
 languages (a cluster) are pooled from those of its languages, so no BLAS
 product runs over all rows of the training set (2000 x 64 here) or of a
 cluster (400 and 600 rows): products that large can split differently at
-different thread counts.
+different thread counts. Each class adds its scatter by one rank-k update,
+which keeps the 512-d language and cluster statistics of 12 000 rows
+invariant too, and exactly symmetric.
 """
 
 import os
@@ -73,6 +75,26 @@ print(hashlib.sha256(b"".join(s.tobytes() for s in scores)).hexdigest())
 """
 
 
+STATS_SCRIPT = """
+import hashlib
+import numpy as np
+from langrec.dataio import balance_weights
+from langrec.synth import SynthConfig, generate
+
+config = SynthConfig(dim=512, cluster_sizes=(6,) * 10, n_train=200, n_dev=1, n_test=1, seed=3)
+train_set, _, _, truth = generate(config)
+weights = balance_weights(train_set)
+clusters = [truth.assignment[lang] for lang in train_set.languages]
+digest = hashlib.sha256()
+for labels in (train_set.languages, clusters):
+    stats = train_set.class_stats(labels, weights)[1]
+    assert np.array_equal(stats.scatter, stats.scatter.T), "scatter not exactly symmetric"
+    for a in (stats.counts, stats.sums, stats.sizes, stats.scatter):
+        digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
 def score_hash(script: str, threads: int, *args: str) -> str:
     src = str(Path(langrec.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -97,3 +119,7 @@ def test_dplda_scores_identical_with_one_and_two_blas_threads():
 
 def test_hdplda_scores_identical_with_one_and_two_blas_threads():
     assert score_hash(HDPLDA_SCRIPT, 1) == score_hash(HDPLDA_SCRIPT, 2)
+
+
+def test_512d_class_statistics_identical_with_one_and_two_blas_threads():
+    assert score_hash(STATS_SCRIPT, 1) == score_hash(STATS_SCRIPT, 2)
