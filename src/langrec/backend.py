@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -146,7 +145,8 @@ class GenerativeBackend:
         return apply_llr_tables(self.tables, self.preproc.transform(X))
 
 
-class GenerativeFit(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class GenerativeFit:
     """One generative fit: LDA preprocessing, the EM-trained PLDA, the class
     label of each training row and the preprocessed training set, projected
     once. Both backends are built from it, so one fit can serve both."""
@@ -189,7 +189,8 @@ def fit_generative(
 
     out_dim is the LDA dimension; lda's default is #classes - 1.
     """
-    return generative_fit(train, weights, out_dim, class_labels, em_iters)[:3]
+    fit = generative_fit(train, weights, out_dim, class_labels, em_iters)
+    return fit.preproc, fit.model, fit.labels
 
 
 def generative_fit(

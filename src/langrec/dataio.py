@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
@@ -27,9 +27,13 @@ class ParseError(ValueError):
 class EmbeddingSet:
     """Labelled collection of D-dimensional embedding vectors.
 
-    Vectors are stored as a read-only (N, D) float64 array; sample ids must
-    be unique and all vectors finite. The set keeps the per-language
-    statistics of the last weight vector it was asked about (class_stats).
+    Vectors are stored as a read-only, C-ordered (N, D) float64 array;
+    sample ids must be unique and all vectors finite. An array that already
+    is one and owns its data (a fresh result, base None) is adopted: the set
+    freezes it in place instead of copying it, so the caller's array turns
+    read-only. Anything else (a view, another dtype or order, a list) is
+    copied. The set keeps the per-language statistics of the last weight
+    vector it was asked about (class_stats).
     """
 
     def __init__(
@@ -39,7 +43,13 @@ class EmbeddingSet:
         datasets: Sequence[str],
         vectors: np.ndarray,
     ):
-        vectors = np.asarray(vectors, dtype=np.float64)
+        if not (
+            type(vectors) is np.ndarray
+            and vectors.dtype == np.float64
+            and vectors.flags.c_contiguous
+            and vectors.base is None
+        ):
+            vectors = np.array(vectors, dtype=np.float64, order="C")
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D (N, D) array")
         n, dim = vectors.shape
@@ -47,7 +57,8 @@ class EmbeddingSet:
             raise ValueError("embedding dimension must be >= 1")
         if not (len(sample_ids) == len(languages) == len(datasets) == n):
             raise ValueError("sample_ids, languages, datasets and vectors disagree in length")
-        if not np.all(np.isfinite(vectors)):
+        # NaN propagates through min and max, and +-inf sits at one end.
+        if vectors.size and not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
             raise ValueError("embedding vectors must be finite (no NaN/Inf)")
         ids = tuple(str(s) for s in sample_ids)
         if len(set(ids)) != len(ids):
@@ -55,8 +66,8 @@ class EmbeddingSet:
         self.sample_ids = ids
         self.languages = tuple(str(s) for s in languages)
         self.datasets = tuple(str(s) for s in datasets)
-        self.vectors = vectors.copy()
-        self.vectors.setflags(write=False)
+        vectors.setflags(write=False)
+        self.vectors = vectors
         self._kept_stats = None
 
     @property
@@ -366,7 +377,8 @@ def group_rows(labels) -> tuple[tuple, list[np.ndarray]]:
     return tuple(labels[r[0]] for r in rows), rows
 
 
-class ClassStats(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ClassStats:
     """Weighted statistics of C classes of d-dimensional rows."""
 
     counts: np.ndarray  # (C,) weighted counts n
@@ -387,7 +399,7 @@ class ClassStats(NamedTuple):
         magnitudes = np.abs(np.linalg.eigvalsh(self.scatter / self.counts.sum()))
         with np.errstate(over="ignore"):
             cond = magnitudes.max() / magnitudes.min() if magnitudes.min() > 0 else np.inf
-        return self._replace(cond=float(cond))
+        return replace(self, cond=float(cond))
 
     def pooled(self, owner: np.ndarray, n_classes: int) -> "ClassStats":
         """The statistics of n_classes unions of these classes, class a going
@@ -411,7 +423,7 @@ class ClassStats(NamedTuple):
         """The statistics after every row of class a moves by -shifts[a]:
         the sums become f_a - n_a s_a; the scatter, and so cond, is
         unchanged."""
-        return self._replace(sums=self.sums - self.counts[:, None] * shifts)
+        return replace(self, sums=self.sums - self.counts[:, None] * shifts)
 
 
 def group_index(rows: list[np.ndarray], n: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +76,8 @@ class HierCombineInfo:
         return backend.combine
 
 
-class Stage2Tables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Stage2Tables:
     """Per-model tables of the stage-2 conditional scores; see stage2_tables."""
 
     A: np.ndarray  # (d, D) stage-2 affine map

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -402,7 +401,8 @@ def pair_score(params: PairScoreParams, w_l: np.ndarray, w: np.ndarray) -> float
     )
 
 
-class PairTables(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class PairTables:
     """Per-model tables of pairwise scoring against fixed detectors.
 
     The score of a test row u against detector j is

@@ -94,25 +94,28 @@ def generate(config: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Embedding
     dataset_shifts = config.sigma_dataset * rng.standard_normal((config.n_datasets, D))
 
     def build(split: str, n_per_language: int) -> EmbeddingSet:
-        ids, langs, dsets, vecs = [], [], [], []
+        """The split's set, each (language, dataset) block drawn into its
+        rows of one array: the set adopts that array, so the vectors exist
+        once."""
+        counts = [
+            n_per_language // config.n_datasets
+            + (1 if k < n_per_language % config.n_datasets else 0)
+            for k in range(config.n_datasets)
+        ]
+        vectors = np.empty((len(config.languages) * n_per_language, D))
+        ids, langs, dsets = [], [], []
+        start = 0
         for lang in config.languages:
-            counts = [
-                n_per_language // config.n_datasets
-                + (1 if k < n_per_language % config.n_datasets else 0)
-                for k in range(config.n_datasets)
-            ]
             for k, count in enumerate(counts):
-                X = (
-                    lang_means[lang]
-                    + dataset_shifts[k]
-                    + config.sigma_within * rng.standard_normal((count, D))
-                )
-                for i in range(count):
-                    ids.append(f"{split}_{lang}_d{k}_{i:04d}")
-                    langs.append(lang)
-                    dsets.append(f"d{k}")
-                vecs.append(X)
-        return EmbeddingSet(ids, langs, dsets, np.vstack(vecs))
+                block = vectors[start:start + count]
+                start += count
+                rng.standard_normal(out=block)
+                block *= config.sigma_within
+                block += lang_means[lang] + dataset_shifts[k]
+                ids.extend(f"{split}_{lang}_d{k}_{i:04d}" for i in range(count))
+                langs.extend([lang] * count)
+                dsets.extend([f"d{k}"] * count)
+        return EmbeddingSet(ids, langs, dsets, vectors)
 
     train = build("train", config.n_train)
     dev = build("dev", config.n_dev)

@@ -541,6 +541,7 @@ def array_holders():
     flat = init_from_generative(train, None, out_dim=3)
     gen = fit_generative_backend(train, None, out_dim=3, em_iters=3)
     hier = init_hier(train, cmap, None, 2, 3, em_iters=3)
+    fit = generative_fit(train, None, 3, em_iters=3)
     trials = generate_trials(train, flat.detector_labels)
     params = get_params(flat)
     cp = Checkpoint(0, 0, 0.0, float("nan"), (1.0,), params)
@@ -548,6 +549,7 @@ def array_holders():
         flat, gen, hier, hier.combine, flat.preproc, gen.model, flat.params, gen.enroll,
         gen.tables, trials, adam_init(params), cp, TrainResult(flat, [cp], 1.0, 0, 0),
         ComparisonResult({}, cmap, {"plda": gen.score_matrix(train.vectors)}, trials),
+        flat.tables, hier.tables2, fit, train.class_stats(train.languages, None)[1],
     ]
     return {type(x).__name__: x for x in instances}
 
@@ -557,7 +559,8 @@ def array_holders():
     [
         "FlatBackend", "GenerativeBackend", "HierBackend", "HierCombineInfo", "AffinePreproc",
         "PldaModel", "PairScoreParams", "EnrollmentStats", "ExactLlrTables", "TrialSet",
-        "AdamState", "Checkpoint", "TrainResult", "ComparisonResult",
+        "AdamState", "Checkpoint", "TrainResult", "ComparisonResult", "PairTables",
+        "Stage2Tables", "GenerativeFit", "ClassStats",
     ],
 )
 def test_array_holders_compare_and_hash_by_identity(array_holders, name):

@@ -41,6 +41,55 @@ class TestEmbeddingSet:
         with pytest.raises(ValueError):
             es.vectors[0, 0] = 9.0
 
+    @staticmethod
+    def labelled(vectors):
+        n = len(vectors)
+        return EmbeddingSet([f"s{i}" for i in range(n)], ["x"] * n, ["d"] * n, vectors)
+
+    def test_owned_c_ordered_float64_array_is_adopted(self):
+        X = np.arange(12.0).reshape(3, 4).copy()
+        es = self.labelled(X)
+        assert np.shares_memory(es.vectors, X)
+        assert not X.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            X[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda X: X[1:],
+            lambda X: X.astype(np.float32),
+            lambda X: np.asfortranarray(X),
+            lambda X: X.tolist(),
+        ],
+        ids=["view", "float32", "fortran", "list"],
+    )
+    def test_anything_else_is_copied_to_a_c_ordered_array(self, make):
+        X = np.arange(12.0).reshape(4, 3).copy()
+        given = make(X)
+        es = self.labelled(given)
+        assert es.vectors.dtype == np.float64 and es.vectors.flags.c_contiguous
+        assert not np.shares_memory(es.vectors, X)
+        assert np.array_equal(es.vectors, np.asarray(given, dtype=np.float64))
+        assert X.flags.writeable
+        if isinstance(given, np.ndarray) and given.base is None:
+            assert given.flags.writeable
+
+    def test_writing_through_the_base_of_a_view_leaves_the_set_alone(self):
+        base = np.arange(12.0).reshape(4, 3)
+        es = self.labelled(base[1:3])
+        base[...] = -1.0
+        assert np.array_equal(es.vectors, np.arange(3.0, 9.0).reshape(2, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (4, 2)])
+    def test_a_non_finite_value_anywhere_is_rejected(self, bad, at):
+        X = np.arange(15.0).reshape(5, 3) - 7.0
+        X[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.labelled(X)
+        assert X.flags.writeable
+
 
 class TestEmbTsv:
     def test_two_rows(self, tmp_path):

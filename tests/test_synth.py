@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,59 @@ class TestGenerate:
         train, dev, test, _ = generate(SMALL)
         ids = set(train.sample_ids) | set(dev.sample_ids) | set(test.sample_ids)
         assert len(ids) == len(train) + len(dev) + len(test)
+
+    @pytest.mark.parametrize(
+        "config, vectors_sha256, labels_sha256",
+        [
+            (
+                SMALL,
+                "db8212012053f5c004669c10746f799b9e2938f232ac6a17f21c91877d58a447",
+                "1a45d08e4a734a63192458049d663fa002c477c6f32d5dce44b5be20b7fccb4e",
+            ),
+            (
+                SynthConfig(),
+                "46db7fd269b5c6b2e4a8fb83dba74de39b0ecbcb8f38b89b85e51ee3e3e6fcec",
+                "49fd488ebb8c7ccac938f59c2dea877612bc666709d81f1ca83387781dee5394",
+            ),
+            (
+                # n_train < n_datasets: some (language, dataset) blocks are empty.
+                SynthConfig(
+                    dim=8, cluster_sizes=(2, 1), n_datasets=3, n_train=2, n_dev=1,
+                    n_test=4, seed=5,
+                ),
+                "da3fc4a54bfbe84bec14038ede5735d2ed3fb08c75c4239f45e570c6d57373b3",
+                "9b36e91731e5e6381e89f8bcb42eece86018fd2c2ea5688b18d14af57f1c6ddf",
+            ),
+        ],
+        ids=["small", "default", "empty-blocks"],
+    )
+    def test_draws_are_pinned(self, config, vectors_sha256, labels_sha256):
+        """The bits of every split, digested over train, dev and test in turn:
+        they pin the order of the draws and each block's arithmetic."""
+        vectors, labels = hashlib.sha256(), hashlib.sha256()
+        for split in generate(config)[:3]:
+            vectors.update(split.vectors.tobytes())
+            rows = zip(split.sample_ids, split.languages, split.datasets)
+            labels.update("\n".join("\t".join(row) for row in rows).encode())
+        assert vectors.hexdigest() == vectors_sha256
+        assert labels.hexdigest() == labels_sha256
+
+    def test_traced_peak_stays_near_the_vectors_kept(self):
+        """Each split is drawn into the array its set keeps, so the traced
+        peak of generate at 128-d is within 1.3x the bytes of the three
+        vector arrays; the labels are most of the rest."""
+        generate(SynthConfig(dim=4, n_train=2, n_dev=1, n_test=1))  # warm up imports and caches
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            splits = generate(SynthConfig(dim=128))[:3]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 1.3 * sum(split.vectors.nbytes for split in splits)
 
     def test_single_language_mean_within_lln_bound(self):
         cfg = SynthConfig(
