@@ -229,6 +229,15 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--bootstrap must be >= 0, got {args.bootstrap}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.subset:
+        if not args.cluster:
+            raise ConfigError("--subset requires --cluster")
+        cmap = _load_cluster_map(args.cluster)
+        members = cmap.cluster_languages.get(args.subset)
+        if members is None:
+            raise ConfigError(f"unknown cluster {args.subset!r}")
+        if len(members) < 2:
+            raise ConfigError(f"cluster {args.subset!r} has fewer than 2 languages")
     ids, dets, scores = _read_scores(args.scores)
     test = load_embeddings(args.test)
     lang_of = dict(zip(test.sample_ids, test.languages))
@@ -239,14 +248,6 @@ def cmd_eval(args) -> int:
     trials = TrialSet(tuple(ids), tuple(dets), is_target)
 
     if args.subset:
-        if not args.cluster:
-            raise ConfigError("--subset requires --cluster")
-        cmap = _load_cluster_map(args.cluster)
-        members = cmap.cluster_languages.get(args.subset)
-        if members is None:
-            raise ConfigError(f"unknown cluster {args.subset!r}")
-        if len(members) < 2:
-            raise ConfigError(f"cluster {args.subset!r} has fewer than 2 languages")
         trials, mask = metrics.subset_trials(trials, lang_of, cmap, args.subset)
         scores = scores[mask]
 

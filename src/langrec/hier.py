@@ -58,10 +58,12 @@ class HierCombineInfo:
     cluster. A language alone in its cluster has p(l|c) = 1: its score is its
     cluster score and it has no stage 2. The other languages, cond (K,) in
     detector order, are the conditional columns; P_c and P_lc (K,) hold
-    their cluster's prior odds and their prior odds within it. Stage 2 runs
-    only on the blocks, the clusters of two or more languages: blocks (B,)
-    holds their stage-1 columns, and cond_block (K,) the block of each
-    conditional column, so blocks[cond_block] == lang_cluster_idx[cond].
+    their cluster's prior odds and their prior odds within it, and log_P_c,
+    log_P_lc and log_norm = log(P_c + P_lc + 1) the logarithms that
+    combine_matrix adds. Stage 2 runs only on the blocks, the clusters of two
+    or more languages: blocks (B,) holds their stage-1 columns, and
+    cond_block (K,) the block of each conditional column, so
+    blocks[cond_block] == lang_cluster_idx[cond].
     """
 
     lang_cluster_idx: np.ndarray
@@ -70,6 +72,14 @@ class HierCombineInfo:
     P_lc: np.ndarray
     blocks: np.ndarray
     cond_block: np.ndarray
+    log_P_c: np.ndarray = field(init=False, repr=False)
+    log_P_lc: np.ndarray = field(init=False, repr=False)
+    log_norm: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_P_c", np.log(self.P_c))
+        object.__setattr__(self, "log_P_lc", np.log(self.P_lc))
+        object.__setattr__(self, "log_norm", np.log(self.P_c + self.P_lc + 1.0))
 
     @classmethod
     def from_backend(cls, backend: "HierBackend") -> "HierCombineInfo":
@@ -207,13 +217,13 @@ def combine_matrix(L_c, L_lc, info: HierCombineInfo):
     """
     S = L_c.take(info.lang_cluster_idx, axis=1)
     Lc_cond = S.take(info.cond, axis=1)
-    a_c = Lc_cond + np.log(info.P_c)[None, :]
-    a_lc = L_lc + np.log(info.P_lc)[None, :]
+    a_c = Lc_cond + info.log_P_c
+    a_lc = L_lc + info.log_P_lc
     m = np.maximum(np.maximum(a_c, a_lc), 0.0)
     e_c, e_lc = np.exp(a_c - m), np.exp(a_lc - m)
     total = e_c + e_lc + np.exp(-m)
     lse = m + np.log(total)
-    S[:, info.cond] = Lc_cond + L_lc + np.log(info.P_c + info.P_lc + 1.0)[None, :] - lse
+    S[:, info.cond] = Lc_cond + L_lc + info.log_norm - lse
     return S, e_c / total, e_lc / total
 
 

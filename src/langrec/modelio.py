@@ -3,11 +3,12 @@
 One JSON document per model, format_version "2". The kind field selects
 the sections: "plda" stores the generative model plus per-language
 enrollment statistics, "dplda" a flat pairwise backend, "hdplda" the two
-stages, shifts, and the cluster map. Floats round-trip exactly through
-JSON (shortest-repr encoding), so a saved and reloaded model scores
-bit-identically. Version "1" files still load: they differ only in a
-per-language "sq_term" of plda files, which cancels out of the score and
-is ignored.
+stages, shifts, and the cluster map. Files are written as compact JSON on
+one line (json's C encoder, which an indent would turn off); any layout
+loads. Floats round-trip exactly through JSON (shortest-repr encoding), so
+a saved and reloaded model scores bit-identically. Version "1" files still
+load: they differ only in a per-language "sq_term" of plda files, which
+cancels out of the score and is ignored.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _backend_from_doc(doc: dict, kind: str):
 
 def save_model(path, backend, train_config=None, seed=None) -> None:
     doc = model_to_doc(backend, train_config=train_config, seed=seed)
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    text = json.dumps(doc, sort_keys=True, ensure_ascii=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

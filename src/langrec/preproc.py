@@ -61,7 +61,7 @@ class DegenerateEmbeddingError(ValueError, FloatingPointError):
 def row_norms(Z: np.ndarray) -> np.ndarray:
     """Norms of Z along its last axis; DegenerateEmbeddingError if one is near zero."""
     norms = np.linalg.norm(Z, axis=-1)
-    if np.any(norms < LENGTH_NORM_EPS):
+    if (norms < LENGTH_NORM_EPS).any():
         raise DegenerateEmbeddingError("degenerate embedding: near-zero norm")
     return norms
 

@@ -660,6 +660,36 @@ def test_bad_cluster_map_is_config_error(workdir, tmp_path, capsys, command, cas
     assert "Traceback" not in err
 
 
+# case -> (eval options after the scores, test and report paths, the error it names)
+EVAL_OPTION_ERRORS = {
+    "subset-without-cluster": (["--subset", "c0_l0"], "--subset requires --cluster"),
+    "missing-cluster-map": (
+        ["--cluster", "{tmp}/absent.json", "--subset", "c0_l0"], "cluster map file not found"
+    ),
+    "unknown-subset": (
+        ["--cluster", "{data}/truth_clusters.json", "--subset", "nope"], "unknown cluster 'nope'"
+    ),
+    "singleton-subset": (
+        ["--cluster", "{data}/truth_clusters.json", "--subset", "c2_l0"],
+        "cluster 'c2_l0' has fewer than 2 languages",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_OPTION_ERRORS))
+def test_eval_checks_its_options_before_reading_data(workdir, tmp_path, capsys, case):
+    # The scores file does not exist: the option error must come first.
+    options, message = EVAL_OPTION_ERRORS[case]
+    paths = {"tmp": tmp_path, "data": workdir / "data"}
+    argv = ["eval", str(tmp_path / "absent.tsv"), str(workdir / "data" / "test.tsv"),
+            str(tmp_path / "report.json")] + [word.format(**paths) for word in options]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("langrec: config error:") and message in err, err
+    assert not (tmp_path / "report.json").exists()
+
+
 # reader -> (its exit code on a file that is not UTF-8, a command reading {bad})
 NOT_UTF8_READERS = {
     "model": (2, "score {bad} {data}/test.tsv {out}"),

@@ -5,6 +5,7 @@ and the reloaded model must score bit-identically, for random backends of
 each kind. Hierarchical backends always include a singleton cluster.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -133,3 +134,45 @@ def test_hdplda_round_trip_is_bit_identical(problem):
     backend, X, _ = problem
     assert len(backend.combine.cond) < backend.n_detectors
     check_round_trip(backend, X)
+
+
+def check_indented_file_loads_as_the_compact_one(backend, X):
+    """save_model writes the compact JSON text; a file of the same document
+    indented, as format version "2" files were once written, loads to the
+    same arrays and scores bit-identically."""
+    doc = model_to_doc(backend)
+    with tempfile.TemporaryDirectory() as tmp:
+        compact, indented = Path(tmp) / "compact.json", Path(tmp) / "indented.json"
+        save_model(compact, backend)
+        text = compact.read_text(encoding="utf-8")
+        indented.write_text(
+            json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
+        )
+        from_compact, from_indented = load_model(compact)[0], load_model(indented)[0]
+    assert text == json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n"
+    assert text.count("\n") == 1
+    want, got = arrays(from_compact), arrays(from_indented)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert bits(got[key]) == bits(want[key]), key
+    assert bits(from_indented.score_matrix(X)) == bits(from_compact.score_matrix(X))
+    assert bits(from_compact.score_matrix(X)) == bits(backend.score_matrix(X))
+
+
+@SETTINGS
+@given(plda_backends())
+def test_plda_indented_file_loads_as_the_compact_one(problem):
+    check_indented_file_loads_as_the_compact_one(*problem)
+
+
+@SETTINGS
+@given(dplda_backends())
+def test_dplda_indented_file_loads_as_the_compact_one(problem):
+    check_indented_file_loads_as_the_compact_one(*problem)
+
+
+@SETTINGS
+@given(hier_problems())
+def test_hdplda_indented_file_loads_as_the_compact_one(problem):
+    backend, X, _ = problem
+    check_indented_file_loads_as_the_compact_one(backend, X)
