@@ -169,9 +169,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    backend, _ = modelio.load_model(args.model)
-    test = load_embeddings(args.test)
-    S = backend.score_matrix(test.vectors)
+    # Finite but extreme numbers in the model or the embeddings can overflow
+    # in the scoring tables or the scores; the scores are checked instead.
+    with np.errstate(all="ignore"):
+        backend, _ = modelio.load_model(args.model)
+        test = load_embeddings(args.test)
+        S = backend.score_matrix(test.vectors)
+    bad = np.argwhere(~np.isfinite(S))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"non-finite score for sample {test.sample_ids[i]!r} and detector "
+            f"{backend.detector_labels[j]!r}"
+        )
     lines = [
         f"{sid}\t{lang}\t{'%.9g' % score}"
         for sid, row in zip(test.sample_ids, S.tolist())

@@ -83,14 +83,17 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _bce_loss_grad(scores, label_idx, pi):
+def _bce_loss_grad(scores, label_idx, pi, counts=None):
     """Weighted binary cross-entropy over an (n, L) score batch, and its
     gradient by the scores.
 
     Each row contributes one positive trial (its label column) and L-1
-    negative trials; positives are weighted pi / P and negatives
-    (1 - pi) / N with P = n and N = n (L - 1). Scores are shifted by
-    log(pi / (1 - pi)) before the sigmoid.
+    negative trials, counts[i] times for row i (once each by default), so a
+    batch of distinct rows with counts is the batch that repeats them.
+    Positives are weighted pi / P and negatives (1 - pi) / N with
+    P = sum(counts) and N = P (L - 1). Scores are shifted by
+    log(pi / (1 - pi)) before the sigmoid. With unit counts every weighting
+    is a multiplication by 1.0, so the result is that of the unweighted sums.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n, L = scores.shape
@@ -99,19 +102,25 @@ def _bce_loss_grad(scores, label_idx, pi):
     label_idx = np.asarray(label_idx, dtype=np.intp)
     if label_idx.shape != (n,) or label_idx.min() < 0 or label_idx.max() >= L:
         raise ValueError("label not in detectors")
+    w = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError("need one count per row")
     t0 = math.log(pi / (1.0 - pi))
     a = scores + t0
     rows = np.arange(n)
-    P = float(n)
-    N = float(n * (L - 1))
+    P = float(w.sum())
+    N = P * (L - 1)
     log_1mq = -_softplus(a)
-    loss = -(pi / P) * (-_softplus(-a[rows, label_idx])).sum()
-    loss -= ((1.0 - pi) / N) * (log_1mq.sum() - log_1mq[rows, label_idx].sum())
+    loss = -(pi / P) * (-_softplus(-a[rows, label_idx]) * w).sum()
+    loss -= ((1.0 - pi) / N) * (
+        (log_1mq * w[:, None]).sum() - (log_1mq[rows, label_idx] * w).sum()
+    )
 
     e = np.exp(-np.abs(a))  # q = sigmoid(a) without overflow on either side
     q = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     G = ((1.0 - pi) / N) * q
     G[rows, label_idx] = -(pi / P) * (1.0 - q[rows, label_idx])
+    G *= w[:, None]
     return float(loss), G
 
 
@@ -220,17 +229,20 @@ def _flat_stage_grads(theta, prefix, X, G, U, norms):
     }
 
 
-def flat_loss_grads(params, X, label_idx, pi):
-    """Loss and gradients for a flat backend given its parameter dict."""
+def flat_loss_grads(params, X, label_idx, pi, counts=None):
+    """Loss and gradients for a flat backend given its parameter dict, with
+    row i of X counted counts[i] times (_bce_loss_grad)."""
     S, U, norms = flat_forward(params, _tables(params), X)
-    loss, G = _bce_loss_grad(S, label_idx, pi)
+    loss, G = _bce_loss_grad(S, label_idx, pi, counts)
     grads = _flat_stage_grads(params, "", X, G, U, norms)
     _check_finite(loss, grads)
     return loss, grads
 
 
-def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
-    """Loss and gradients for a hierarchical backend given its parameter dict.
+def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha, counts=None):
+    """Loss and gradients for a hierarchical backend given its parameter dict,
+    with row i of X counted counts[i] times in both the language and the
+    cluster BCE (_bce_loss_grad).
 
     The forward pass is the scorer's, hier.hier_forward, on tables built
     from params. Only the conditional columns carry a stage-2 gradient;
@@ -245,7 +257,7 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     t1, t2 = _tables(theta1), stage2_tables(theta2, shifts, info)
     S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward(theta1, t1, t2, info, X)
 
-    loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi)
+    loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi, counts)
     loss = (1.0 - alpha) * loss_lan
     G_lan *= 1.0 - alpha
 
@@ -258,7 +270,7 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha):
     G1 = (np.eye(len(shifts))[:, info.lang_cluster_idx] @ G_lan.T).T
 
     if alpha > 0.0:
-        loss_clu, G_clu = _bce_loss_grad(S1, info.lang_cluster_idx[label_idx], pi)
+        loss_clu, G_clu = _bce_loss_grad(S1, info.lang_cluster_idx[label_idx], pi, counts)
         loss += alpha * loss_clu
         G1 += alpha * G_clu
 
@@ -454,6 +466,9 @@ def train(
     dev metric, fine-tunes it, and returns the overall best checkpoint as a
     new backend; the backend given is left as it is. A non-finite loss
     aborts training, falling back to the best checkpoint recorded so far.
+    Each batch of sample_batch is trained on its distinct rows, each counted
+    as often as it was drawn, which gives the loss and gradients of the
+    batch as drawn up to rounding.
     """
     det_pos = {lab: i for i, lab in enumerate(backend.detector_labels)}
     missing = sorted(set(train_set.languages) - set(det_pos))
@@ -486,9 +501,10 @@ def train(
         state, running = adam_init(params), []
         for b in range(n_batches):
             idx = sample_batch(groups, config.batch_size, rng)
+            idx, counts = np.unique(idx, return_counts=True)
             X, y = train_set.vectors[idx], label_idx_all[idx]
             try:
-                loss, grads = loss_grads(params, X=X, label_idx=y)
+                loss, grads = loss_grads(params, X=X, label_idx=y, counts=counts)
             except FloatingPointError as exc:
                 logger.warning("training diverged (%s); falling back to best checkpoint", exc)
                 diverged = True

@@ -438,6 +438,32 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["plda", "hdplda"])
+    def test_overflowing_model_exits_1_without_output(self, workdir, tmp_path, capsys, kind):
+        # Finite model numbers whose scores overflow to nan: plda's mean, or
+        # the shift of a cluster with a stage 2.
+        doc = json.loads((workdir / f"{kind}.json").read_text())
+        if kind == "plda":
+            doc["plda"]["mu"][0] = 1e300
+        else:
+            block = next(c for c, ls in doc["cluster_map"]["clusters"].items() if len(ls) > 1)
+            doc["shifts"][block][0] = 1e300
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            backend, _ = load_model(model)
+            test = load_embeddings(workdir / "data" / "test.tsv")
+            S = backend.score_matrix(test.vectors)
+        i, j = np.argwhere(~np.isfinite(S))[0]
+        out = tmp_path / "o.tsv"
+        assert main(["score", str(model), str(workdir / "data" / "test.tsv"), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"langrec: error: non-finite score for sample {test.sample_ids[i]!r} "
+            f"and detector {backend.detector_labels[j]!r}\n"
+        )
+        assert not out.exists()
+
     def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "plda.json").read_text())
         doc["enroll"][1]["language"] = doc["enroll"][0]["language"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import langrec.training
 from langrec.backend import FlatBackend, init_from_generative
@@ -733,3 +735,119 @@ class TestMultiSeed:
             assert backend.score_matrix(X).tobytes() == before
             # Training moved its own parameters.
             assert any(np.any(p != log[0].params[k]) for k, p in log[-1].params.items())
+
+
+class TestRowCounts:
+    """A batch of distinct rows with counts is the batch that repeats each row
+    that many times: the same loss and gradients up to rounding. train scores
+    each distinct drawn row once, with its count."""
+
+    @staticmethod
+    def problem(rng, kind, n_rows):
+        """(loss_grads(params, X, y, counts), params, X, y) on random params."""
+        if kind == "flat":
+            params = random_flat_params(rng, 8, 3, 4)
+            n_det = 4
+
+            def loss_grads(p, X, y, counts=None):
+                return flat_loss_grads(p, X, y, 0.1, counts=counts)
+
+        else:
+            backend = build_hier_backend(rng, singleton=kind == "hier-singleton")
+            params, info = get_params(backend), backend.combine
+            alpha = 0.3 if kind == "hier" else 0.0
+            n_det = backend.n_detectors
+
+            def loss_grads(p, X, y, counts=None):
+                return hier_loss_grads(p, info, X, y, 0.1, alpha, counts=counts)
+
+        X = rng.standard_normal((n_rows, 8))
+        return loss_grads, params, X, rng.integers(0, n_det, size=n_rows)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["flat", "hier", "hier-singleton"]),
+        counts=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_the_repeated_batch(self, kind, counts, seed):
+        # "hier" has alpha = 0.3, so the cluster BCE is weighted too;
+        # "hier-singleton" has alpha = 0 and a language without a stage 2.
+        rng = np.random.default_rng(seed)
+        loss_grads, params, X, y = self.problem(rng, kind, len(counts))
+        counts = np.array(counts)
+        order = rng.permutation(counts.sum())  # the repeats in drawn order
+        rep = np.repeat(np.arange(len(counts)), counts)[order]
+        want_loss, want = loss_grads(params, X[rep], y[rep])
+        loss, got = loss_grads(params, X, y, counts)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+        assert list(got) == list(want)
+        for key, g in want.items():
+            assert np.max(np.abs(got[key] - g)) <= 1e-12 * np.max(np.abs(g)), key
+
+    def test_unit_counts_are_bit_identical_to_no_counts(self):
+        for kind in ("flat", "hier"):
+            loss_grads, params, X, y = self.problem(np.random.default_rng(40), kind, 9)
+            want_loss, want = loss_grads(params, X, y)
+            loss, got = loss_grads(params, X, y, np.ones(9, dtype=np.intp))
+            assert loss == want_loss
+            assert all(got[key].tobytes() == g.tobytes() for key, g in want.items())
+
+    def test_finite_difference_with_counts(self):
+        rng = np.random.default_rng(41)
+        counts = np.array([3, 1, 2, 5, 1, 4, 2, 1])
+        for kind in ("flat", "hier"):
+            loss_grads, params, X, y = self.problem(rng, kind, len(counts))
+            err = finite_difference_check(lambda p: loss_grads(p, X, y, counts), params)
+            assert err <= 1e-4, kind
+
+    def test_counts_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="one count per row"):
+            _bce_loss_grad(np.zeros((3, 2)), np.array([0, 1, 0]), 0.1, counts=np.ones(2))
+
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
+    def test_train_scores_each_drawn_row_once(self, monkeypatch, kind):
+        if kind == "flat":
+            train_set, dev_set, trials, backend = small_training_problem()
+            dev = [(dev_set, trials)]
+        else:
+            from langrec.hier import init_hier
+            from test_backend import TestInitHier
+
+            rng = np.random.default_rng(21)
+            train_set, cmap, means = TestInitHier()._clustered_data(rng)
+            backend = init_hier(train_set, cmap, None, 2, 3)
+            dev_set = synthetic_set(rng, means, n_per=10, sigma=0.4, prefix="dev")
+            dev = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
+        drawn, seen = [], []
+
+        def draw(*args):
+            drawn.append(sample_batch(*args))
+            return drawn[-1]
+
+        name = f"{kind}_loss_grads"
+        loss_grads = getattr(langrec.training, name)
+
+        def spy(params, *args, X, label_idx, counts=None, **kwargs):
+            seen.append((X, label_idx, counts))
+            return loss_grads(params, *args, X=X, label_idx=label_idx, counts=counts, **kwargs)
+
+        monkeypatch.setattr(langrec.training, "sample_batch", draw)
+        monkeypatch.setattr(langrec.training, name, spy)
+        cfg = TrainConfig(batch_size=64, pi=0.1, stages=((6, 1e-3),), finetune=(2, 1e-4))
+        train(backend, train_set, dev, cfg)
+        assert len(seen) == len(drawn) == 8
+        labels = {lab: i for i, lab in enumerate(backend.detector_labels)}
+        label_of = {tuple(x): labels[l] for x, l in zip(train_set.vectors, train_set.languages)}
+        assert len(label_of) == len(train_set)  # rows are told apart by their vectors
+        repeats = 0
+        for idx, (X, y, counts) in zip(drawn, seen):
+            assert counts is not None and counts.sum() == cfg.batch_size
+            rows = [tuple(x) for x in X]
+            assert len(set(rows)) == len(rows)
+            assert list(y) == [label_of[r] for r in rows]
+            assert sorted(np.repeat(rows, counts, axis=0).tolist()) == sorted(
+                train_set.vectors[idx].tolist()
+            )
+            repeats += int(counts.max() > 1)
+        assert repeats > 0
