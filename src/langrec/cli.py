@@ -98,12 +98,18 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     if not math.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold}")
-    backend, meta = modelio.load_model(args.model)
-    if meta["kind"] != "plda":
-        raise ConfigError("clustering needs a model of kind 'plda'")
-    train = load_embeddings(args.train)
-    means = per_language_means(train)
-    langs, dist = clustering.plda_distance_matrix(means, backend.model, backend.preproc)
+    # As in cmd_score: finite but extreme numbers in the model or the
+    # embeddings can overflow in the pair-score parameters or the language
+    # means; the model's finiteness check and the distance check name the error.
+    with np.errstate(all="ignore"):
+        backend, meta = modelio.load_model(args.model)
+        if meta["kind"] != "plda":
+            raise ConfigError("clustering needs a model of kind 'plda'")
+        train = load_embeddings(args.train)
+        means = per_language_means(train)
+        langs, dist = clustering.plda_distance_matrix(means, backend.model, backend.preproc)
+    if not np.isfinite(dist[~np.eye(len(langs), dtype=bool)]).all():
+        raise ValueError("non-finite PLDA distance between language means")
     merges = clustering.linkage_merges(langs, dist)
     cmap = clustering.cut_merges(langs, merges, args.threshold)
     out = Path(args.out)

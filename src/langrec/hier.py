@@ -20,6 +20,24 @@ from .backend import FlatBackend, GenerativeFit, flat_forward, init_from_generat
 from .plda import PairTables, em_train, pair_tables
 from .preproc import lda, row_norms, unit_rows
 
+# Exponent floor of the combination and of the training loss: an exponential
+# whose argument is at or below it is taken as e^EXP_FLOOR (combine_matrix) or
+# exactly 0 (the loss), so neither computes a subnormal or underflowing exp.
+# On an AVX-512 Xeon core numpy's exp takes about 110 ns per element whose
+# result is subnormal and 15 ns per one that underflows to 0, against 1 ns
+# otherwise, and subnormal operands slow the BLAS products of the backward
+# pass as well. Two conditions bound the floor:
+# - e^EXP_FLOOR < 2^-106 (EXP_FLOOR < -73.5). Every combination total holds
+#   an exact 1 and its other two terms are at most 1; a term below 2^-106
+#   cannot change the rounded total, so the scores and 1 - e/total (which is
+#   1 when e < 2^-54) are unchanged.
+# - e^EXP_FLOOR (1 - pi) / N 2^-53 is normal for pi <= 0.999 and N <= 2^31
+#   negative trials (EXP_FLOOR >= -643.3). That is the smallest nonzero
+#   negative-trial gradient of the loss times one factor 1 - x, x a double
+#   below 1 (such as 1 - e/total); at -600 a margin of 2^62 is left for the
+#   others (1 - alpha, 1/2 from e / (1 + e)). So no gradient entry is subnormal.
+EXP_FLOOR = -600.0
+
 
 def prior_odds(p: float) -> float:
     """p / (1 - p); +inf when p == 1 (singleton case)."""
@@ -197,34 +215,46 @@ class HierBackend:
 def hier_forward(theta1, tables1, stage2: Stage2Tables, info: HierCombineInfo, X):
     """The hierarchical forward pass of scoring and training, on stage 1's
     parameters theta1 and their pair_tables, and the stage2_tables. Returns the
-    scores (N, L) and the backward pass's (S1, U1, norms1, parts2, e_c, e_lc):
+    scores (N, L) and the backward pass's (S1, U1, norms1, parts2, e, total):
     flat_forward's outputs, stage2_scores's parts and combine_matrix's
-    exponentials."""
+    exponentials and totals."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     S1, U1, norms1 = flat_forward(theta1, tables1, X)
     S2, parts2 = stage2_scores(stage2, info, X)
-    S, e_c, e_lc = combine_matrix(S1, S2, info)
-    return S, (S1, U1, norms1, parts2, e_c, e_lc)
+    S, e, total = combine_matrix(S1, S2, info)
+    return S, (S1, U1, norms1, parts2, e, total)
 
 
 def combine_matrix(L_c, L_lc, info: HierCombineInfo):
     """Log-domain combination of (N, C) cluster and (N, K) conditional scores.
 
-    Returns (scores (N, L), e^(a_c - lse), e^(a_lc - lse)), where a_c and
-    a_lc are the log posterior-odds terms of the conditional columns and
-    lse = log(e^a_c + e^a_lc + 1), whose exponentials give the last two for
-    the backward pass. A language alone in its cluster scores L_c exactly.
+    Returns (scores (N, L), e (2, N, K), total (N, K)). With a_c and a_lc the
+    log posterior-odds terms of the conditional columns and
+    m = max(a_c, a_lc, 0), e stacks e^(a_c - m) and e^(a_lc - m), and total
+    = e^(a_c - m) + e^(a_lc - m) + e^-m; the backward pass uses 1 - e / total.
+    Exponent arguments below EXP_FLOOR are raised to it, which changes
+    neither the scores nor 1 - e / total. A language alone in its cluster
+    scores L_c exactly.
     """
     S = L_c.take(info.lang_cluster_idx, axis=1)
     Lc_cond = S.take(info.cond, axis=1)
-    a_c = Lc_cond + info.log_P_c
-    a_lc = L_lc + info.log_P_lc
+    # One buffer for the three exponent arguments, written with positional
+    # outputs: single-row scoring pays per ufunc call.
+    E = np.empty((3, *L_lc.shape))
+    a_c = np.add(Lc_cond, info.log_P_c, E[0])
+    a_lc = np.add(L_lc, info.log_P_lc, E[1])
     m = np.maximum(np.maximum(a_c, a_lc), 0.0)
-    e_c, e_lc = np.exp(a_c - m), np.exp(a_lc - m)
-    total = e_c + e_lc + np.exp(-m)
-    lse = m + np.log(total)
+    np.subtract(a_c, m, a_c)
+    np.subtract(a_lc, m, a_lc)
+    neg_m = np.negative(m, E[2])
+    np.maximum(E, EXP_FLOOR, out=E)
+    np.exp(E, E)
+    total = a_c + a_lc
+    total += neg_m
+    lse = np.log(total)
+    lse += m
     S[:, info.cond] = Lc_cond + L_lc + info.log_norm - lse
-    return S, e_c / total, e_lc / total
+    return S, E[:2], total
 
 
 def init_hier(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .backend import FLAT_KEYS, FlatBackend, flat_forward
 from .dataio import EmbeddingSet, TrialSet, check_count, group_rows, trial_index
-from .hier import HierBackend, HierCombineInfo, hier_forward, stage2_tables
+from .hier import EXP_FLOOR, HierBackend, HierCombineInfo, hier_forward, stage2_tables
 from .metrics import actual_dcf
 from .plda import pair_tables
 
@@ -108,16 +108,31 @@ def _bce_loss_grad(scores, label_idx, pi, counts=None):
     t0 = math.log(pi / (1.0 - pi))
     a = scores + t0
     rows = np.arange(n)
+    a_lab = a[rows, label_idx]
     P = float(w.sum())
     N = P * (L - 1)
-    log_1mq = -_softplus(a)
-    loss = -(pi / P) * (-_softplus(-a[rows, label_idx]) * w).sum()
+    # e = exp(-|a|), taken as 0 where -|a| <= EXP_FLOOR; everything below
+    # derives from it. Clamp, exp and mask: numpy's masked exp is slower.
+    e = np.abs(a)
+    np.negative(e, e)
+    above = e > EXP_FLOOR
+    np.maximum(e, EXP_FLOOR, out=e)
+    np.exp(e, e)
+    e *= above
+    e_lab = e[rows, label_idx]
+    # log(1 - q) = -softplus(a) = -(max(a, 0) + log1p(e)), and at the labels
+    # log q = -softplus(-a), which is log(1 - q) + a without its cancellation.
+    log_1mq = np.maximum(a, 0.0)
+    log_1mq += np.log1p(e)
+    np.negative(log_1mq, log_1mq)
+    log_q_lab = -(np.maximum(-a_lab, 0.0) + np.log1p(e_lab))
+    loss = -(pi / P) * (log_q_lab * w).sum()
     loss -= ((1.0 - pi) / N) * (
         (log_1mq * w[:, None]).sum() - (log_1mq[rows, label_idx] * w).sum()
     )
 
-    e = np.exp(-np.abs(a))  # q = sigmoid(a) without overflow on either side
-    q = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    q = np.where(a >= 0, 1.0, e)  # q = sigmoid(a) without overflow on either side
+    q /= 1.0 + e
     G = ((1.0 - pi) / N) * q
     G[rows, label_idx] = -(pi / P) * (1.0 - q[rows, label_idx])
     G *= w[:, None]
@@ -255,18 +270,19 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha, coun
     shifts = params["shifts"]
     theta1, theta2 = _stage(params, "stage1."), _stage(params, "stage2.")
     t1, t2 = _tables(theta1), stage2_tables(theta2, shifts, info)
-    S, (S1, U1, norms1, parts2, e_c, e_lc) = hier_forward(theta1, t1, t2, info, X)
+    S, (S1, U1, norms1, parts2, e, total) = hier_forward(theta1, t1, t2, info, X)
+    d_c, d_lc = 1.0 - e / total  # each score's derivatives by L_c and L_lc
 
     loss_lan, G_lan = _bce_loss_grad(S, label_idx, pi, counts)
     loss = (1.0 - alpha) * loss_lan
     G_lan *= 1.0 - alpha
 
-    G2 = G_lan.take(info.cond, axis=1) * (1.0 - e_lc)
-    # Each score's derivative by its cluster score is 1 - e^t_c on the
-    # conditional columns and 1 on the others. A cluster sums its languages'
-    # gradients; formed cluster-major, so that the stage-1 backward sums each
-    # cluster's gradient over contiguous memory.
-    G_lan[:, info.cond] *= 1.0 - e_c
+    G2 = G_lan.take(info.cond, axis=1) * d_lc
+    # Each score's derivative by its cluster score is d_c on the conditional
+    # columns and 1 on the others. A cluster sums its languages' gradients;
+    # formed cluster-major, so that the stage-1 backward sums each cluster's
+    # gradient over contiguous memory.
+    G_lan[:, info.cond] *= d_c
     G1 = (np.eye(len(shifts))[:, info.lang_cluster_idx] @ G_lan.T).T
 
     if alpha > 0.0:

@@ -142,6 +142,35 @@ class TestClusterCommand:
             brute_force_average_linkage(langs, dist, 20.0)
         )
 
+    def test_overflowing_model_exits_1_without_output(self, workdir, tmp_path, capsys):
+        # A finite plda mean of 1e300 overflows in the pair-score parameters.
+        doc = json.loads((workdir / "plda.json").read_text())
+        doc["plda"]["mu"][0] = 1e300
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "map.json"
+        argv = ["cluster", str(workdir / "data" / "train.tsv"), str(model), str(out)]
+        assert main(argv + ["--threshold", "20.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("langrec: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".dendrogram.tsv").exists()
+
+    def test_overflowing_language_mean_exits_1_without_output(self, workdir, tmp_path, capsys):
+        # Two rows of one language at 1e308 make its mean overflow, so its
+        # distances are not finite.
+        train = load_embeddings(workdir / "data" / "train.tsv")
+        X = train.vectors.copy()
+        X[np.flatnonzero(np.asarray(train.languages) == train.languages[0])[:2], 0] = 1e308
+        path = tmp_path / "train.tsv"
+        save_embeddings(EmbeddingSet(train.sample_ids, train.languages, train.datasets, X), path)
+        out = tmp_path / "map.json"
+        argv = ["cluster", str(path), str(workdir / "plda.json"), str(out), "--threshold", "20"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "langrec: error: non-finite PLDA distance between language means\n"
+        assert not out.exists()
+
     def test_threshold_extremes(self, workdir, tmp_path):
         data = workdir / "data"
         out = tmp_path / "all_single.json"

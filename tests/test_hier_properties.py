@@ -149,6 +149,41 @@ def test_block_index_places_each_language_in_its_cluster(problem):
     )
 
 
+def unfloored_combination(L_c, L_lc, info):
+    """combine_matrix with no exponent floor, as first written: the scores,
+    e_c = e^(a_c - m), e_lc = e^(a_lc - m) and their total, whose exps may be
+    subnormal or 0."""
+    S = L_c.take(info.lang_cluster_idx, axis=1)
+    Lc_cond = S.take(info.cond, axis=1)
+    a_c = Lc_cond + info.log_P_c
+    a_lc = L_lc + info.log_P_lc
+    m = np.maximum(np.maximum(a_c, a_lc), 0.0)
+    e_c, e_lc = np.exp(a_c - m), np.exp(a_lc - m)
+    total = e_c + e_lc + np.exp(-m)
+    lse = m + np.log(total)
+    S[:, info.cond] = Lc_cond + L_lc + info.log_norm - lse
+    return S, e_c, e_lc, total
+
+
+@SETTINGS
+@given(hier_problems(), st.sampled_from([1.0, 30.0, 300.0, 1000.0]), st.integers(0, 2**32 - 1))
+def test_exponent_floor_changes_no_score_or_derivative(problem, scale, seed):
+    """Stage scores uniform in (-scale, scale) put the exp arguments of the
+    combination across (-2 scale, 0], so at scale 1000 across (-2000, 0]: many
+    below EXP_FLOOR, some subnormal. The scores and the derivatives
+    1 - e / total are the unfloored formula's, bit for bit."""
+    backend, X, _ = problem
+    info = backend.combine
+    rng = np.random.default_rng(seed)
+    L_c = scale * rng.uniform(-1.0, 1.0, (len(X), len(backend.shifts)))
+    L_lc = scale * rng.uniform(-1.0, 1.0, (len(X), len(info.cond)))
+    S, e, total = combine_matrix(L_c, L_lc, info)
+    want_S, e_c, e_lc, want_total = unfloored_combination(L_c, L_lc, info)
+    assert S.tobytes() == want_S.tobytes()
+    want_d = np.stack((1.0 - e_c / want_total, 1.0 - e_lc / want_total))
+    assert (1.0 - e / total).tobytes() == want_d.tobytes()
+
+
 def padded_scores(backend, X):
     """The hierarchical scores through the padded stage-2 layout: every
     block's rows A (x - s_b) + b, projected once and length-normalised,

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 import langrec.training
 from langrec.backend import FlatBackend, init_from_generative
 from langrec.clustering import cluster_priors
-from langrec.dataio import EmbeddingSet, generate_trials, group_rows, trial_index
-from langrec.hier import HierBackend
+from langrec.dataio import (
+    EmbeddingSet, balance_weights, generate_trials, group_rows, trial_index,
+)
+import langrec.hier
+from langrec.hier import EXP_FLOOR, HierBackend, init_hier
 from langrec.metrics import actual_dcf
+from langrec.synth import SynthConfig, generate
 from langrec.training import (
     TrainConfig,
     _bce_loss_grad,
@@ -143,7 +148,8 @@ def reference_bce_loss_grad(scores, label_idx, pi):
     return float(loss), G
 
 
-def test_bce_loss_grad_is_bit_identical_to_reference():
+def pinned_bce_cases():
+    """200 (scores, labels, pi) cases at score scales 1, 30 and 900."""
     rng = np.random.default_rng(11)
     for case in range(200):
         n, L = int(rng.integers(1, 40)), int(rng.integers(2, 12))
@@ -152,10 +158,94 @@ def test_bce_loss_grad_is_bit_identical_to_reference():
         scores[rng.random((n, L)) < 0.1] = 0.0
         labels = rng.integers(0, L, size=n)
         pi = float(rng.uniform(0.001, 0.999))
+        yield scores, labels, pi
+
+
+def test_bce_loss_grad_is_bit_identical_to_reference():
+    """Bit for bit wherever the exp argument -|a| is above EXP_FLOOR. Below it
+    q saturates: where the reference's q is a tiny positive number (a
+    negative trial with a < 0) G is exactly 0, and every other entry is the
+    reference's. The loss takes softplus from the same exp, so it may move by
+    a few ulps."""
+    for scores, labels, pi in pinned_bce_cases():
         loss, G = _bce_loss_grad(scores, labels, pi)
         want_loss, want_G = reference_bce_loss_grad(scores, labels, pi)
-        assert loss == want_loss
-        assert G.tobytes() == want_G.tobytes()
+        assert abs(loss - want_loss) <= 4 * np.spacing(want_loss)
+        a = scores + math.log(pi / (1.0 - pi))
+        zeroed = (-np.abs(a) <= EXP_FLOOR) & (a < 0)
+        zeroed[np.arange(len(labels)), labels] = False
+        assert np.all(G[zeroed] == 0.0)
+        assert G[~zeroed].tobytes() == want_G[~zeroed].tobytes()
+
+
+def test_bce_gradient_has_no_subnormal_entry():
+    for scores, labels, pi in pinned_bce_cases():
+        G = _bce_loss_grad(scores, labels, pi)[1]
+        assert not np.any((G != 0.0) & (np.abs(G) < np.finfo(float).tiny))
+
+
+def counted_reference_bce_loss_grad(scores, label_idx, pi, counts):
+    """_bce_loss_grad as first written, with row counts: softplus by
+    logaddexp for log q and log(1 - q), and q from an unfloored exp."""
+    n, L = scores.shape
+    w = np.asarray(counts, dtype=np.float64)
+    a = scores + math.log(pi / (1.0 - pi))
+    rows = np.arange(n)
+    P = float(w.sum())
+    N = P * (L - 1)
+    log_1mq = -_softplus(a)
+    loss = -(pi / P) * (-_softplus(-a[rows, label_idx]) * w).sum()
+    loss -= ((1.0 - pi) / N) * (
+        (log_1mq * w[:, None]).sum() - (log_1mq[rows, label_idx] * w).sum()
+    )
+    e = np.exp(-np.abs(a))
+    q = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    G = ((1.0 - pi) / N) * q
+    G[rows, label_idx] = -(pi / P) * (1.0 - q[rows, label_idx])
+    G *= w[:, None]
+    return float(loss), G
+
+
+def test_exponent_floor_changes_no_gradient_of_a_generative_init_batch(monkeypatch):
+    """The distinct rows of the first 2048-row batch drawn from
+    SynthConfig(seed=3), with their counts, at the generative initialisation.
+    Most of the hierarchical BCE's exp arguments lie below EXP_FLOOR there,
+    and the unfloored gradient has subnormal entries. With the unfloored BCE
+    and combination patched in, every gradient of the flat and the
+    hierarchical step (alpha 0 and 0.3) is the same, bit for bit."""
+    from test_hier_properties import unfloored_combination
+
+    def combination(L_c, L_lc, info):
+        S, e_c, e_lc, total = unfloored_combination(L_c, L_lc, info)
+        return S, np.stack((e_c, e_lc)), total
+
+    train_set, _, _, truth = generate(SynthConfig(seed=3))
+    weights = balance_weights(train_set)
+    flat = init_from_generative(train_set, weights, len(truth.languages) - 1)
+    hier = init_hier(train_set, truth, weights)
+    assert flat.detector_labels == hier.detector_labels
+    groups = group_rows(zip(train_set.languages, train_set.datasets))[1]
+    idx = sample_batch(groups, 2048, np.random.default_rng(0))
+    idx, counts = np.unique(idx, return_counts=True)
+    pos = {lab: j for j, lab in enumerate(flat.detector_labels)}
+    X = train_set.vectors[idx]
+    y = np.array([pos[lab] for lab in train_set.languages])[idx]
+    a = hier.score_matrix(X) + math.log(0.01 / 0.99)
+    assert np.mean(-np.abs(a) <= EXP_FLOOR) > 0.5
+
+    steps = [partial(flat_loss_grads, get_params(flat), X, y, 0.01, counts)]
+    steps += [
+        partial(hier_loss_grads, get_params(hier), hier.combine, X, y, 0.01, alpha, counts)
+        for alpha in (0.0, 0.3)
+    ]
+    got = [step()[1] for step in steps]
+    monkeypatch.setattr(langrec.training, "_bce_loss_grad", counted_reference_bce_loss_grad)
+    monkeypatch.setattr(langrec.hier, "combine_matrix", combination)
+    for grads, step in zip(got, steps):
+        want = step()[1]
+        assert list(grads) == list(want)
+        for key, g in want.items():
+            assert grads[key].tobytes() == g.tobytes(), key
 
 
 class TestCombinedLoss:
