@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsygvd, dtrtrs
 
 from .dataio import check_weights, class_stats, group_rows, read_only
 
@@ -59,9 +59,45 @@ def _chol_logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """a^-1 b for a triangular a: scipy.linalg.solve_triangular's finite check
+    and dtrtrs call (on a Fortran-ordered a itself, on any other as its
+    transpose), without the rest of its wrapper."""
+    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def _chol_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = scipy.linalg.solve_triangular(L, rhs, lower=True)
-    return scipy.linalg.solve_triangular(L.T, y, lower=False)
+    y = _solve_triangular(L, rhs, lower=True)
+    return _solve_triangular(L.T, y, lower=False)
+
+
+def _eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and B-orthonormal eigenvectors of the symmetric-definite
+    pencil (A, B) of finite matrices: the dsygvd call scipy.linalg.eigh(A, B)
+    makes, on the lower triangles, with its LinAlgErrors and without the
+    rest of its wrapper."""
+    w, V, info = dsygvd(A, B)
+    n = A.shape[0]
+    if info > n:
+        raise np.linalg.LinAlgError(
+            f"The leading minor of order {info - n} of B is not positive definite. "
+            "The factorization of B could not be completed and no eigenvalues "
+            "or eigenvectors were computed."
+        )
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "The algorithm failed to compute an eigenvalue while working on the "
+            f"submatrix lying in rows and columns {info}/{n + 1} through "
+            f"mod({info},{n + 1})."
+        )
+    return w, V
 
 
 def _chol_inverse(L: np.ndarray) -> np.ndarray:
@@ -91,7 +127,7 @@ class PldaModel:
         if not all(np.all(np.isfinite(a)) for a in (mu, B, W)):
             raise ValueError("mu, B_prec and W must be finite")
         np.linalg.cholesky(W)
-        psi, V = scipy.linalg.eigh(B, W)
+        psi, V = _eigh(B, W)  # finite, checked above
         if not psi[0] > 0.0:
             # Exact scoring and to_pair_params work in this basis; with psi <= 0
             # their results would be wrong without any other sign.
@@ -223,8 +259,9 @@ def em_train(
 
 def _diagonal_basis(B, W, mu, f_l):
     """psi and V with V'WV = I and V'BV = diag(psi), plus mu and the class
-    sums in that basis: mu~ = mu W V and F~ = F W V."""
-    psi, V = scipy.linalg.eigh(B, W)
+    sums in that basis: mu~ = mu W V and F~ = F W V. B and W are checked for
+    non-finite values, as scipy.linalg.eigh checks them."""
+    psi, V = _eigh(np.asarray_chkfinite(B), np.asarray_chkfinite(W))
     T = W @ V
     return psi, V, mu @ T, f_l @ T
 

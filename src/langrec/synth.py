@@ -229,6 +229,11 @@ def run_comparison(
 
     trials = generate_trials(test_set, detectors)
     sample_langs = dict(zip(test_set.sample_ids, test_set.languages))
+    cluster_subsets = {
+        cname: subset_trials(trials, sample_langs, cmap, cname)
+        for cname in cmap.cluster_names
+        if len(cmap.cluster_languages[cname]) >= 2
+    }
     systems = {"plda": plda_backend, "dplda": dplda, "hdplda": hdplda}
     report: dict[str, dict] = {}
     scores_by_system: dict[str, np.ndarray] = {}
@@ -241,10 +246,7 @@ def run_comparison(
             flat, trials, n_boot=n_boot, seed=bootstrap_seed
         )
         subsets = {"all": asdict(rep)}
-        for cname in cmap.cluster_names:
-            if len(cmap.cluster_languages[cname]) < 2:
-                continue
-            sub, mask = subset_trials(trials, sample_langs, cmap, cname)
+        for cname, (sub, mask) in cluster_subsets.items():
             sub_rep = evaluate(flat[mask], sub.is_target)
             sub_rep.ci_low, sub_rep.ci_high = bootstrap_ci(
                 flat[mask], sub, n_boot=n_boot, seed=bootstrap_seed

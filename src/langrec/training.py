@@ -329,8 +329,13 @@ def hier_loss_grads(params, info: HierCombineInfo, X, label_idx, pi, alpha, coun
 
 
 def _check_finite(loss, grads):
+    """Raise FloatingPointError on a non-finite loss or gradient. One test
+    covers every group; only a failure loops over them, to name the first
+    non-finite one."""
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
+    if np.isfinite(np.concatenate([g.ravel() for g in grads.values()])).all():
+        return
     for key, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter group {key!r}")
@@ -342,16 +347,23 @@ def _check_finite(loss, grads):
 
 @dataclass(eq=False)
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's moments over every parameter group at once: m and v are flat
+    vectors laid out as adam_init fixed it, group `keys[i]` of shape
+    `shapes[i]` at `offsets[i]:offsets[i + 1]`."""
+
+    m: np.ndarray
+    v: np.ndarray
+    keys: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
     t: int = 0
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-    )
+    keys = tuple(params)
+    shapes = tuple(np.shape(params[k]) for k in keys)
+    offsets = (0, *np.cumsum([math.prod(shape) for shape in shapes]).tolist())
+    return AdamState(np.zeros(offsets[-1]), np.zeros(offsets[-1]), keys, shapes, offsets)
 
 
 def adam_step(
@@ -360,21 +372,28 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update into new arrays (checkpoints rely on
-    that); Lambda/Gamma re-symmetrized afterwards."""
+    """One bias-corrected Adam update into a new vector (checkpoints rely on
+    that), returned as views of it by group; Lambda/Gamma re-symmetrized
+    afterwards. Each update runs once over every group, in adam_init's
+    layout, so the result is that of an update group by group."""
+    keys = state.keys
+    if len(params) != len(keys):
+        raise ValueError(f"expected the parameter groups {keys}, got {tuple(params)}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    p = np.concatenate([params[key].ravel() for key in keys])
+    g = np.concatenate([grads[key].ravel() for key in keys])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = state.m / (1.0 - b1**state.t)
+    v_hat = state.v / (1.0 - b2**state.t)
+    new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     out = {}
-    for key, p in params.items():
-        g = grads[key]
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g * g
-        m_hat = state.m[key] / (1.0 - b1 ** state.t)
-        v_hat = state.v[key] / (1.0 - b2 ** state.t)
-        new = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if key.split(".")[-1] in ("Lambda", "Gamma") and new.ndim == 2:
-            new = 0.5 * (new + new.T)
-        out[key] = new
+    for key, shape, start, stop in zip(keys, state.shapes, state.offsets, state.offsets[1:]):
+        view = new[start:stop].reshape(shape)
+        if key.split(".")[-1] in ("Lambda", "Gamma") and view.ndim == 2:
+            view[...] = 0.5 * (view + view.T)
+        out[key] = view
     return out
 
 
@@ -396,14 +415,15 @@ def sample_batch(
     q = -(-batch_size // G)  # ceil
     excess = q * G - batch_size
     perm = rng.permutation(G)
-    parts = []
-    for pos, gi in enumerate(perm):
-        quota = q - 1 if pos >= G - excess else q
-        if quota == 0:
-            continue
-        members = groups[gi]
-        parts.append(members[rng.integers(0, len(members), size=quota)])
-    return np.concatenate(parts)
+    sizes = np.array([len(members) for members in groups])
+    starts = np.cumsum(sizes) - sizes
+    quotas = np.full(G, q)
+    quotas[G - excess :] = q - 1
+    # One bounded draw per sample, group after group in permutation order:
+    # numpy draws an array of bounds element by element from the same stream
+    # as one call per group would.
+    draws = rng.integers(0, np.repeat(sizes[perm], quotas))
+    return np.concatenate(groups)[np.repeat(starts[perm], quotas) + draws]
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +512,7 @@ def train(
         raise ValueError(f"training languages without a detector: {missing}")
     label_idx_all = np.array([det_pos[l] for l in train_set.languages], dtype=np.intp)
     groups = group_rows(zip(train_set.languages, train_set.datasets))[1]
+    n_rows = len(train_set)
     evaluate_dev = dev_evaluator(
         backend.detector_labels, dev_sets, config.pi, config.select_metric
     )
@@ -516,8 +537,9 @@ def train(
             params = best.params
         state, running = adam_init(params), []
         for b in range(n_batches):
-            idx = sample_batch(groups, config.batch_size, rng)
-            idx, counts = np.unique(idx, return_counts=True)
+            counts = np.bincount(sample_batch(groups, config.batch_size, rng), minlength=n_rows)
+            idx = np.flatnonzero(counts)
+            counts = counts[idx]
             X, y = train_set.vectors[idx], label_idx_all[idx]
             try:
                 loss, grads = loss_grads(params, X=X, label_idx=y, counts=counts)

@@ -9,6 +9,8 @@ from scipy.stats import multivariate_normal
 from langrec.plda import (
     PairScoreParams,
     PldaModel,
+    _chol_solve,
+    _diagonal_basis,
     apply_llr_tables,
     approx_llr,
     em_train,
@@ -457,3 +459,66 @@ class TestEmTrain:
         with caplog.at_level("WARNING", logger="langrec.plda"):
             em_train(X, labels, n_iters=0)
         assert any("ridge-repairing" in r.message for r in caplog.records)
+
+
+def random_spd(rng, d):
+    A = rng.standard_normal((d, d))
+    M = A @ A.T / d + 0.1 * np.eye(d)
+    return 0.5 * (M + M.T)
+
+
+class TestLapackCalls:
+    """EM's triangular solves and generalised eigenproblems call LAPACK
+    directly; they must give SciPy's results, bit for bit, and its errors."""
+
+    SIZES = range(1, 65)
+
+    def test_chol_solve_matches_scipy(self):
+        rng = np.random.default_rng(50)
+        for d in self.SIZES:
+            L = np.linalg.cholesky(random_spd(rng, d))
+            for rhs in (np.eye(d), rng.standard_normal(d), rng.standard_normal((d, 3))):
+                y = scipy.linalg.solve_triangular(L, rhs, lower=True)
+                want = scipy.linalg.solve_triangular(L.T, y, lower=False)
+                got = _chol_solve(L, rhs)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
+
+    def test_diagonal_basis_matches_scipy(self):
+        rng = np.random.default_rng(51)
+        for d in self.SIZES:
+            B, W = random_spd(rng, d), random_spd(rng, d)
+            mu, f_l = rng.standard_normal(d), rng.standard_normal((4, d))
+            psi, V = scipy.linalg.eigh(B, W)
+            T = W @ V
+            got = _diagonal_basis(B, W, mu, f_l)
+            for a, b in zip(got, (psi, V, mu @ T, f_l @ T)):
+                assert a.tobytes() == b.tobytes(), d
+            model = PldaModel(mu=mu, B_prec=B, W=W)
+            assert model.psi.tobytes() == psi.tobytes()
+            assert model.T.tobytes() == T.tobytes()
+
+    def test_non_positive_definite_w_raises_as_scipy_does(self):
+        rng = np.random.default_rng(52)
+        for d in (1, 3, 8):
+            B = random_spd(rng, d)
+            W = random_spd(rng, d)
+            W[-1, -1] = -1.0
+            with pytest.raises(np.linalg.LinAlgError) as want:
+                scipy.linalg.eigh(B, W)
+            with pytest.raises(np.linalg.LinAlgError) as got:
+                _diagonal_basis(B, W, np.zeros(d), np.zeros((2, d)))
+            assert str(got.value) == str(want.value)
+
+    def test_non_finite_input_raises_as_scipy_does(self):
+        L, B = np.eye(3), np.eye(3)
+        bad = np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, np.nan]])
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.solve_triangular(L, bad, lower=True)
+        for args in ((L, bad), (bad, np.eye(3)), (L, bad[:, 1])):
+            with pytest.raises(ValueError) as got:
+                _chol_solve(*args)
+            assert str(got.value) == str(want.value)
+        for args in ((bad, B), (B, bad)):
+            with pytest.raises(ValueError) as got:
+                _diagonal_basis(*args, np.zeros(3), np.zeros((2, 3)))
+            assert str(got.value) == str(want.value)

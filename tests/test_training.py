@@ -485,6 +485,43 @@ class TestDegenerateRow:
             hier_loss_grads(params, backend.combine, X, np.array([0, 1, 2]), 0.1, 0.0)
 
 
+def adam_step_per_group(params, grads, state, lr):
+    """Reference for adam_step: the update one parameter group at a time,
+    with the moments in state["m"] and state["v"] kept per group and the
+    step count in state["t"]."""
+    state["t"] += 1
+    b1, b2 = langrec.training.ADAM_BETA1, langrec.training.ADAM_BETA2
+    out = {}
+    for key, p in params.items():
+        g = grads[key]
+        state["m"][key] = b1 * state["m"][key] + (1.0 - b1) * g
+        state["v"][key] = b2 * state["v"][key] + (1.0 - b2) * g * g
+        m_hat = state["m"][key] / (1.0 - b1 ** state["t"])
+        v_hat = state["v"][key] / (1.0 - b2 ** state["t"])
+        new = p - lr * m_hat / (np.sqrt(v_hat) + langrec.training.ADAM_EPS)
+        if key.split(".")[-1] in ("Lambda", "Gamma") and new.ndim == 2:
+            new = 0.5 * (new + new.T)
+        out[key] = new
+    return out
+
+
+def sample_batch_per_group(groups, batch_size, rng):
+    """Reference for sample_batch: one bounded draw call per group with a
+    non-zero quota, in permutation order."""
+    G = len(groups)
+    q = -(-batch_size // G)
+    excess = q * G - batch_size
+    perm = rng.permutation(G)
+    parts = []
+    for pos, gi in enumerate(perm):
+        quota = q - 1 if pos >= G - excess else q
+        if quota == 0:
+            continue
+        members = groups[gi]
+        parts.append(members[rng.integers(0, len(members), size=quota)])
+    return np.concatenate(parts)
+
+
 class TestAdam:
     def test_inputs_unchanged(self):
         # Checkpoints keep adam_step's dictionaries without copying them.
@@ -528,6 +565,48 @@ class TestAdam:
         assert np.array_equal(outs[0]["Lambda"], outs[1]["Lambda"])
         assert np.array_equal(outs[0]["w"], outs[1]["w"])
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), lr=st.sampled_from([1e-5, 5e-4, 1e-3, 0.1]))
+    def test_matches_the_per_group_update(self, seed, lr):
+        # 0-d, 1-d and 2-d groups, Lambda and Gamma with and without a
+        # stage prefix, and a 1-d "Gamma" that is not symmetrised.
+        rng = np.random.default_rng(seed)
+        params = {
+            "stage1.A": rng.standard_normal((3, 5)),
+            "stage1.Lambda": random_symmetric(rng, 3),
+            "stage1.k": np.array(rng.standard_normal()),
+            "Gamma": random_symmetric(rng, 4),
+            "shifts": rng.standard_normal((2, 5)),
+            "c": rng.standard_normal(4),
+            "x.Gamma": rng.standard_normal(3),
+        }
+        state = adam_init(params)
+        ref_state = {"m": {k: np.zeros_like(p) for k, p in params.items()}, "t": 0}
+        ref_state["v"] = {k: np.zeros_like(p) for k, p in params.items()}
+        p, ref = params, params
+        for _ in range(5):
+            grads = {
+                key: rng.standard_normal(np.shape(value)) * 10.0 ** rng.integers(-6, 3)
+                for key, value in params.items()
+            }
+            new = adam_step(p, grads, state, lr)
+            ref = adam_step_per_group(ref, grads, ref_state, lr)
+            assert list(new) == list(params)
+            for key, want in ref.items():
+                assert new[key].shape == np.shape(want), key
+                assert new[key].tobytes() == np.asarray(want).tobytes(), key
+                for old in (p[key], grads[key]):
+                    assert not np.shares_memory(new[key], old), key
+            p = new
+
+    def test_rejects_other_parameter_groups(self):
+        params = {"w": np.zeros(2), "k": np.array(0.0)}
+        state = adam_init(params)
+        with pytest.raises(ValueError, match="parameter groups"):
+            adam_step({"w": np.zeros(2)}, {"w": np.zeros(2)}, state, lr=0.1)
+        with pytest.raises(KeyError):
+            adam_step({"w": np.zeros(2), "b": np.zeros(1)}, params, state, lr=0.1)
+
     def test_symmetrizes_lambda_gamma(self):
         params = {"Lambda": np.zeros((2, 2)), "Gamma": np.zeros((2, 2))}
         grads = {
@@ -570,6 +649,35 @@ class TestSampleBatch:
         keys = [(es.languages[i], es.datasets[i]) for i in idx]
         counts = sorted((keys.count(k) for k in set(keys)), reverse=True)
         assert counts == [3, 3, 2, 2]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        sizes=st.lists(
+            st.one_of(st.just(1), st.integers(1, 300)), min_size=1, max_size=40
+        ),
+        batch=st.sampled_from(["below", "equal", "above", "large"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_draw_call_per_group(self, sizes, batch, seed):
+        # Some quotas are 0 when the batch is smaller than the group count,
+        # and an excess is trimmed whenever it is not a multiple of it.
+        rng = np.random.default_rng(seed)
+        G = len(sizes)
+        batch_size = {
+            "below": max(1, G - 1 - int(rng.integers(0, G))),
+            "equal": G,
+            "above": G + 1 + int(rng.integers(0, 3 * G)),
+            "large": int(rng.integers(1000, 3000)),
+        }[batch]
+        order = rng.permutation(sum(sizes))
+        groups = np.split(order, np.cumsum(sizes)[:-1])
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_batch(groups, batch_size, got_rng)
+            want = sample_batch_per_group(groups, batch_size, want_rng)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(13)
@@ -702,6 +810,10 @@ class TestTrainLoop:
 
         with pytest.raises(FloatingPointError, match="parameter group 'A'"):
             _check_finite(0.5, {"A": np.array([np.inf])})
+        grads = {"A": np.zeros((2, 3)), "b": np.array([0.0, np.nan]), "k": np.array(np.inf)}
+        with pytest.raises(FloatingPointError, match="parameter group 'b'"):
+            _check_finite(0.5, grads)
+        _check_finite(0.5, {"A": np.zeros((2, 3)), "k": np.array(1.0)})
 
     def test_unknown_training_language_rejected(self):
         train_set, dev_set, trials, backend = small_training_problem()
