@@ -38,7 +38,7 @@ from .plda import (
     set_log_marginal,
     to_pair_params,
 )
-from .preproc import AffinePreproc, length_normalize
+from .preproc import AffinePreproc
 from .synth import SynthConfig, generate, run_comparison
 from .training import TrainConfig, multi_seed_train, sample_batch, train
 

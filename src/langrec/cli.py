@@ -348,6 +348,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Not str(exc): numpy's message can itself fail to format.
+        print(f"{PROG}: error: out of memory for these inputs and config", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

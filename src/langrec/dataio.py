@@ -439,7 +439,9 @@ def class_stats(X: np.ndarray, rows: list[np.ndarray], weights: np.ndarray) -> C
     unlike one product over all rows, that keeps the scatter independent of
     the BLAS thread count. Each class adds its scatter to the upper triangle
     by one rank-k update (dsyrk) of its rows sqrt(w) (x - m), half a full
-    product's work; the lower triangle is the mirror of the upper."""
+    product's work; the lower triangle is the mirror of the upper. lda and
+    em_train (its mean and total scatter too) read a fit's rows only through
+    it; at 512-d only lda's LAPACK Cholesky factor varies with the threads."""
     if sum(r.size for r in rows) != len(X):
         raise ValueError("labels must have one entry per row")
     counts, sums = np.empty(len(rows)), np.empty((len(rows), X.shape[1]))

@@ -36,6 +36,8 @@ from .preproc import lda, row_norms, unit_rows
 #   negative-trial gradient of the loss times one factor 1 - x, x a double
 #   below 1 (such as 1 - e/total); at -600 a margin of 2^62 is left for the
 #   others (1 - alpha, 1/2 from e / (1 + e)). So no gradient entry is subnormal.
+#   A batch has N = batch_size (L - 1) negative trials for L detectors, and
+#   training.train refuses a batch size with N above 2^31.
 EXP_FLOOR = -600.0
 
 

@@ -17,9 +17,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dsygvd, dtrtrs
 
-from .dataio import check_weights, class_stats, group_rows, read_only
+from .dataio import check_weights, class_stats, group_rows, mirror_upper, read_only
 
 logger = logging.getLogger(__name__)
 
@@ -206,8 +207,11 @@ def em_train(
         raise ValueError("EM needs at least 2 classes")
     total, J = weights.sum(), len(classes)
 
+    # X is read only through its class statistics: S_tot = sum_i w_i x_i x_i'
+    # is the scatter plus sum_l f_l f_l' / n_l, by one rank-k update.
+    S_tot = mirror_upper(dsyrk(1.0, (f_l / np.sqrt(n_l)[:, None]).T, beta=1.0, c=W_cov))
     # Moment initialization.
-    mu = weights @ X / total
+    mu = f_l.sum(axis=0) / total
     W_cov /= total
     class_means = f_l / n_l[:, None]
     mbar = class_means.mean(axis=0)
@@ -217,7 +221,6 @@ def em_train(
     B = _chol_inverse(_cholesky_or_repair(B_cov, "between-class covariance"))
     W = _chol_inverse(_cholesky_or_repair(W_cov, "within-class covariance"))
 
-    S_tot = (weights[:, None] * X).T @ X
     psi, V, mu_t, f_t = _diagonal_basis(B, W, mu, f_l)
 
     trace: list[float] = []

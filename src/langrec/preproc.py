@@ -80,17 +80,12 @@ def normalized_projection(A, b, X) -> tuple[np.ndarray, np.ndarray]:
     return unit_rows(X @ A.T + b)
 
 
-def length_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector, or each vector along the last axis, to unit Euclidean norm."""
-    return unit_rows(np.asarray(v, dtype=np.float64))[0]
-
-
 def apply(preproc: AffinePreproc, x: np.ndarray) -> np.ndarray:
     """lengthnorm(A x + b) for a single vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("apply expects a single vector")
-    return length_normalize(preproc.A @ x + preproc.b)
+    return unit_rows(preproc.A @ x + preproc.b)[0]
 
 
 def lda(classes, stats: ClassStats, out_dim: int | None = None) -> AffinePreproc:

@@ -510,6 +510,13 @@ def train(
     missing = sorted(set(train_set.languages) - set(det_pos))
     if missing:
         raise ValueError(f"training languages without a detector: {missing}")
+    n_negative = len(det_pos) - 1
+    if config.batch_size * n_negative > 2**31:
+        raise ValueError(
+            f"batch_size {config.batch_size} with {len(det_pos)} detectors exceeds "
+            f"2^31 negative trials per batch (the bound of hier.EXP_FLOOR); "
+            f"use at most {2**31 // n_negative}"
+        )
     label_idx_all = np.array([det_pos[l] for l in train_set.languages], dtype=np.intp)
     groups = group_rows(zip(train_set.languages, train_set.datasets))[1]
     n_rows = len(train_set)

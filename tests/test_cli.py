@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import langrec
 from langrec.cli import main
 from langrec.clustering import merges_to_tsv, plda_distance_matrix
 from langrec.dataio import EmbeddingSet, load_embeddings, per_language_means, save_embeddings
@@ -36,6 +42,27 @@ TRAIN_CONFIG = {
     "seeds": [0],
     "em_iters": 20,
 }
+
+
+ADDRESS_SPACE_LIMIT = 2**31
+
+
+def run_cli_capped(*argv: str) -> subprocess.CompletedProcess:
+    """langrec with argv in a child process of ADDRESS_SPACE_LIMIT bytes of
+    address space and one BLAS thread."""
+    src = str(Path(langrec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+    return subprocess.run(
+        [sys.executable, "-m", "langrec.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +142,26 @@ class TestSynthCommand:
         bad.write_text(json.dumps({**SYNTH_CONFIG, "sigma_oops": 1.0}))
         assert main(["synth", str(bad), str(tmp_path / "out")]) == 2
         assert "sigma_oops" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        # A config such as {"n_train": 2**40} runs out of memory in generate;
+        # the error is raised here instead, and its str() fails as numpy's
+        # can, so the message must not need it.
+        import langrec.cli
+
+        class Unprintable(MemoryError):
+            def __str__(self):
+                raise RuntimeError("no message")
+
+        def out_of_memory(config):
+            raise Unprintable()
+
+        monkeypatch.setattr(langrec.cli, "generate", out_of_memory)
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(SYNTH_CONFIG))
+        assert main(["synth", str(cfg), str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "langrec: error: out of memory for these inputs and config\n"
 
 
 class TestClusterCommand:
@@ -311,6 +358,26 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "out_dim 9 exceeds the input dimension 8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("batch_size", [2**64, 2**40, 2**29 + 1])
+    def test_batch_size_above_the_negative_trial_bound_exits_1(
+        self, workdir, tmp_path, batch_size
+    ):
+        # 2**29 + 1 rows against 4 negative detectors is one batch size past
+        # 2^31 negative trials. Drawing a batch of 2**64 rows crashes the
+        # interpreter, so the command runs in a child process whose address
+        # space is capped: a batch that is drawn fails there, not here.
+        data = workdir / "data"
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "batch_size": batch_size}))
+        done = run_cli_capped(
+            "train", "--kind", "dplda", str(data / "train.tsv"),
+            str(data / "dev.tsv"), str(cfg), str(tmp_path / "x.json"),
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("langrec: error: batch_size"), done.stderr
+        assert "2^31 negative trials" in done.stderr and "at most 536870912" in done.stderr
+        assert not (tmp_path / "x.json").exists()
 
     def test_hdplda_fits_once_for_all_seeds(self, workdir, tmp_path, monkeypatch):
         import langrec.cli

@@ -12,7 +12,11 @@ product runs over all rows of the training set (2000 x 64 here) or of a
 cluster (400 and 600 rows): products that large can split differently at
 different thread counts. Each class adds its scatter by one rank-k update,
 which keeps the 512-d language and cluster statistics of 12 000 rows
-invariant too, and exactly symmetric.
+invariant too, and exactly symmetric. EM reads its rows only through those
+statistics, taking its mean and total scatter from them, so an EM fit on
+12 000 rows of 59-d is invariant as well. The 512-d generative fits still
+vary with the thread count, only through the LAPACK Cholesky factor (the
+blocked potrf) that lda takes of the total scatter.
 """
 
 import os
@@ -94,6 +98,24 @@ for labels in (train_set.languages, clusters):
 print(digest.hexdigest())
 """
 
+EM_SCRIPT = """
+import hashlib
+import numpy as np
+from langrec.plda import em_train
+
+rng = np.random.default_rng(26)
+labels = np.repeat(np.arange(60), 200)
+X = rng.standard_normal((60, 59))[labels] + 0.5 * rng.standard_normal((12000, 59))
+X /= np.linalg.norm(X, axis=1, keepdims=True)
+weights = rng.uniform(0.5, 2.0, 12000)
+digest = hashlib.sha256()
+for n_iters in (0, 5):
+    model = em_train(X, labels, weights, n_iters=n_iters, tol=0.0)
+    for a in (model.mu, model.B_prec, model.W):
+        digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
 
 def score_hash(script: str, threads: int, *args: str) -> str:
     src = str(Path(langrec.__file__).resolve().parents[1])
@@ -123,3 +145,7 @@ def test_hdplda_scores_identical_with_one_and_two_blas_threads():
 
 def test_512d_class_statistics_identical_with_one_and_two_blas_threads():
     assert score_hash(STATS_SCRIPT, 1) == score_hash(STATS_SCRIPT, 2)
+
+
+def test_em_fit_identical_with_one_and_two_blas_threads():
+    assert score_hash(EM_SCRIPT, 1) == score_hash(EM_SCRIPT, 2)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
+from langrec import plda
 from langrec.plda import (
     PairScoreParams,
     PldaModel,
@@ -434,6 +435,32 @@ class TestEmTrain:
         trace = np.array(trace)
         assert np.all(model.psi > 0.0)
         assert np.all(np.diff(trace) >= -1e-8 * (1.0 + np.abs(trace[:-1])))
+
+    def test_reads_rows_only_through_class_statistics(self, monkeypatch):
+        # The rows turn NaN once their class statistics are summed: a fit that
+        # read them again would change. The total scatter is exactly symmetric.
+        rng = np.random.default_rng(26)
+        X, labels = self._sample(rng, 5, 20, 3)
+        w = rng.uniform(0.5, 2.0, size=len(labels))
+        want = em_train(X.copy(), labels, w, n_iters=3, tol=0.0)
+        summed, log_likelihood, scatters = plda.class_stats, plda._log_likelihood, []
+
+        def class_stats_then_erase(rows_of, rows, weights):
+            stats = summed(rows_of, rows, weights)
+            rows_of[...] = np.nan
+            return stats
+
+        def recording_log_likelihood(n_l, S_tot, *args):
+            scatters.append(S_tot)
+            return log_likelihood(n_l, S_tot, *args)
+
+        monkeypatch.setattr(plda, "class_stats", class_stats_then_erase)
+        monkeypatch.setattr(plda, "_log_likelihood", recording_log_likelihood)
+        got = em_train(X, labels, w, n_iters=3, tol=0.0)
+        assert np.isnan(X).all()
+        for name in ("mu", "B_prec", "W"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(scatters) == 3 and all(np.array_equal(S, S.T) for S in scatters)
 
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 2))

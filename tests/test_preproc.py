@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from langrec.dataio import ClassStats, check_weights, class_stats, group_rows
-from langrec.preproc import AffinePreproc, apply, lda, length_normalize
+from langrec.preproc import AffinePreproc, apply, lda, unit_rows
 
 
 def fit_lda(X, labels, weights, out_dim=None):
@@ -114,16 +114,19 @@ def brute_force_lda_directions(X, labels, weights, out_dim):
 
 
 class TestLengthNormalize:
+    """unit_rows, the length normalisation of every model's front end."""
+
     def test_simple(self):
-        assert np.allclose(length_normalize(np.array([0.0, 2.0])), [0.0, 1.0])
+        Z, norms = unit_rows(np.array([0.0, 2.0]))
+        assert np.allclose(Z, [0.0, 1.0]) and norms == 2.0
 
     def test_idempotent_on_unit(self):
         v = np.array([0.6, 0.8])
-        assert np.allclose(length_normalize(v), v)
+        assert np.allclose(unit_rows(v)[0], v)
 
     def test_near_zero_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            length_normalize(np.array([1e-300, 0.0]))
+            unit_rows(np.array([1e-300, 0.0]))
 
 
 class TestApply:
