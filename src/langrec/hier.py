@@ -172,6 +172,8 @@ class HierBackend:
     def __post_init__(self):
         object.__setattr__(self, "shifts", read_only(self.shifts))
         cmap = self.cluster_map
+        if cmap.n_clusters() < 2:
+            raise ValueError("a hierarchy needs at least 2 clusters")
         clusters = self.stage1.detector_labels
         if tuple(sorted(clusters)) != cmap.cluster_names:
             raise ValueError("stage1 detectors disagree with the cluster map")

@@ -194,6 +194,8 @@ def em_train(
     which is non-decreasing over iterations. n_iters=0 returns the
     moment-based initialization (weighted global mean, weighted average
     within-class covariance, covariance of the weighted class means).
+    When every class's rows are equal, by exact comparison, the within-class
+    covariance is zero and there is no model: ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -201,10 +203,12 @@ def em_train(
     weights = weights * (n / weights.sum())
 
     classes, rows = group_rows(labels)
-    stats = class_stats(X, rows, weights)
-    n_l, f_l, W_cov = stats.counts, stats.sums, stats.scatter
     if len(classes) < 2:
         raise ValueError("EM needs at least 2 classes")
+    if all((X[r] == X[r[0]]).all() for r in rows):
+        raise ValueError("within-class covariance is singular: every class is a single point")
+    stats = class_stats(X, rows, weights)
+    n_l, f_l, W_cov = stats.counts, stats.sums, stats.scatter
     total, J = weights.sum(), len(classes)
 
     # X is read only through its class statistics: S_tot = sum_i w_i x_i x_i'

@@ -81,16 +81,11 @@ def generate(config: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Embedding
     rng = np.random.default_rng(config.seed)
     D = config.dim
 
-    cluster_means = config.sigma_cluster * rng.standard_normal((len(config.cluster_sizes), D))
-    lang_means = {}
-    truth_clusters: dict[str, tuple[str, ...]] = {}
-    for i, size in enumerate(config.cluster_sizes):
-        members = []
-        for j in range(size):
-            lang = f"c{i}_l{j}"
-            lang_means[lang] = cluster_means[i] + config.sigma_language * rng.standard_normal(D)
-            members.append(lang)
-        truth_clusters[min(members)] = tuple(members)
+    sizes = config.cluster_sizes
+    cluster_means = config.sigma_cluster * rng.standard_normal((len(sizes), D))
+    lang_means = cluster_means[np.repeat(np.arange(len(sizes)), sizes)]
+    lang_means += config.sigma_language * rng.standard_normal(lang_means.shape)
+    truth = {f"c{i}_l0": tuple(f"c{i}_l{j}" for j in range(n)) for i, n in enumerate(sizes)}
     dataset_shifts = config.sigma_dataset * rng.standard_normal((config.n_datasets, D))
 
     def build(split: str, n_per_language: int) -> EmbeddingSet:
@@ -105,13 +100,13 @@ def generate(config: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Embedding
         vectors = np.empty((len(config.languages) * n_per_language, D))
         ids, langs, dsets = [], [], []
         start = 0
-        for lang in config.languages:
+        for lang, mean in zip(config.languages, lang_means):
             for k, count in enumerate(counts):
                 block = vectors[start:start + count]
                 start += count
                 rng.standard_normal(out=block)
                 block *= config.sigma_within
-                block += lang_means[lang] + dataset_shifts[k]
+                block += mean + dataset_shifts[k]
                 ids.extend(f"{split}_{lang}_d{k}_{i:04d}" for i in range(count))
                 langs.extend([lang] * count)
                 dsets.extend([f"d{k}"] * count)
@@ -120,7 +115,7 @@ def generate(config: SynthConfig) -> tuple[EmbeddingSet, EmbeddingSet, Embedding
     train = build("train", config.n_train)
     dev = build("dev", config.n_dev)
     test = build("test", config.n_test)
-    return train, dev, test, ClusterMap(truth_clusters)
+    return train, dev, test, ClusterMap(truth)
 
 
 def tune_cluster_threshold(
@@ -149,7 +144,7 @@ def tune_hierarchy(
 
     Candidates come from the observed merge-distance sequence (one between
     every pair of consecutive merge distances, plus the extremes).
-    Hierarchies that leave no between-class rank for either stage are
+    Candidates whose hierarchy init_hier or EM refuses (ValueError) are
     skipped.
     """
     means = per_language_means(train)
@@ -164,13 +159,12 @@ def tune_hierarchy(
     best = None
     for threshold in candidates:
         cmap = cut_merges(langs, merges, threshold)
-        if not 2 <= cmap.n_clusters() < len(langs):
-            continue
         try:
             backend = init_hier(train, cmap, weights, em_iters=em_iters)
         except ValueError as exc:
-            # Candidate hierarchies can be numerically degenerate (e.g. a
-            # 1-D stage collapses to +-1 under length normalization).
+            # init_hier refuses a map of one cluster or of singletons only,
+            # and EM a stage whose classes are each a single point (a 1-D
+            # stage of two clusters is +-1 under length normalization).
             logger.info("skipping threshold %.4g: %s", threshold, exc)
             continue
         loss = float(np.mean(evaluate_dev(backend)))

@@ -311,6 +311,23 @@ class TestInitHier:
         with pytest.raises(ValueError, match="degenerate"):
             init_hier(train, singletons, None, 2, 1)
 
+    def test_one_cluster_backend_rejected(self):
+        # A consistent backend whose map has one cluster: the cluster's prior
+        # is 1, its prior odds are infinite, and the combination scores nan.
+        rng = np.random.default_rng(15)
+        train, cmap, _ = self._clustered_data(rng)
+        backend = init_hier(train, cmap, None, 2, 3)
+        stage1 = backend.stage1
+        theta1 = {**stage1.theta, "detectors": stage1.detectors[:1]}
+        one = cluster_priors({"a0": cmap.languages})
+        with pytest.raises(ValueError, match="^a hierarchy needs at least 2 clusters$"):
+            dataclasses.replace(
+                backend,
+                stage1=FlatBackend(("a0",), theta1),
+                shifts=backend.shifts[:1],
+                cluster_map=one,
+            )
+
     def test_rank_bounds(self):
         rng = np.random.default_rng(12)
         train, cmap, _ = self._clustered_data(rng)

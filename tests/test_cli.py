@@ -47,9 +47,9 @@ TRAIN_CONFIG = {
 ADDRESS_SPACE_LIMIT = 2**31
 
 
-def run_cli_capped(*argv: str) -> subprocess.CompletedProcess:
+def run_cli_capped(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """langrec with argv in a child process of ADDRESS_SPACE_LIMIT bytes of
-    address space and one BLAS thread."""
+    address space and one BLAS thread, ended after timeout seconds."""
     src = str(Path(langrec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -61,7 +61,7 @@ def run_cli_capped(*argv: str) -> subprocess.CompletedProcess:
 
     return subprocess.run(
         [sys.executable, "-m", "langrec.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=cap,
     )
 
 
@@ -162,6 +162,16 @@ class TestSynthCommand:
         assert main(["synth", str(cfg), str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err == "langrec: error: out of memory for these inputs and config\n"
+
+    def test_huge_cluster_fails_at_its_language_means(self, tmp_path):
+        # 2^40 languages: the language means are asked for at once, so the
+        # allocation fails at the start instead of growing one mean at a time
+        # until the address space runs out.
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({**SYNTH_CONFIG, "cluster_sizes": [2**40]}))
+        done = run_cli_capped("synth", str(cfg), str(tmp_path / "out"), timeout=10)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == "langrec: error: out of memory for these inputs and config\n"
 
 
 class TestClusterCommand:
@@ -559,6 +569,22 @@ class TestScoreCommand:
             f"and detector {backend.detector_labels[j]!r}\n"
         )
         assert not out.exists()
+
+    def test_one_cluster_hdplda_model_exits_2_without_output(self, workdir, tmp_path, capsys):
+        # Every language in one cluster, the one stage-1 detector and shift
+        # kept: its cluster prior is 1, whose prior odds are infinite.
+        doc = json.loads((workdir / "hdplda.json").read_text())
+        first = doc["stage1"]["detectors"][0]
+        doc["stage1"]["detectors"] = [first]
+        doc["shifts"] = {first["label"]: doc["shifts"][first["label"]]}
+        languages = [d["label"] for d in doc["stage2"]["detectors"]]
+        doc["cluster_map"] = {"clusters": {first["label"]: languages}, "threshold": None}
+        assert self.score_model_doc(workdir, tmp_path, doc) == 2
+        assert capsys.readouterr().err == (
+            "langrec: config error: malformed hdplda model file: "
+            "a hierarchy needs at least 2 clusters\n"
+        )
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_inconsistent_plda_enrollment_exits_2(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "plda.json").read_text())

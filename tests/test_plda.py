@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,8 @@ from langrec.plda import (
     set_log_marginal,
     to_pair_params,
 )
+
+from test_preproc import _Messages
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -336,6 +340,27 @@ class TestApproxLlr:
         assert abs(approx_llr(p, enroll, t) - exact_llr(m, enroll, t)) > 1e-6
 
 
+@st.composite
+def single_point_classes(draw):
+    """(X, labels, weights, bump): 2-5 classes in 1-4 dimensions whose rows
+    are copies of one point per class (unit-norm points half of the time, as
+    after length normalisation), in shuffled order, with positive weights
+    over six decades. bump is 1 at one entry of a row whose class has at
+    least 2 rows, and 0 elsewhere."""
+    d = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(2, 5))] + draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((len(sizes), d))
+    if draw(st.booleans()):
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    order = rng.permutation(sum(sizes))
+    labels = np.repeat(np.arange(len(sizes)), sizes)[order]
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, size=len(labels))
+    bump = np.zeros((len(labels), d))
+    bump[rng.choice(np.flatnonzero(np.array(sizes)[labels] > 1)), rng.integers(d)] = 1.0
+    return points[labels], labels, weights, bump
+
+
 class TestEmTrain:
     def _sample(self, rng, n_classes, n_per, d, between=1.0, within=1.0, mu=None):
         mu = np.zeros(d) if mu is None else mu
@@ -475,6 +500,26 @@ class TestEmTrain:
             with pytest.raises(ValueError, match="within-class covariance is singular"):
                 em_train(X, ["a", "a", "b", "b", "c"])
         assert not any("ridge" in r.message for r in caplog.records)
+
+    @SETTINGS
+    @given(single_point_classes())
+    def test_single_point_classes_are_refused_by_exact_comparison(self, problem):
+        # The within-class covariance is exactly zero. Summed in floating
+        # point it can come out as roundoff of either sign, and a positive one
+        # would be ridge-repaired into a fit: the rows decide, not the sums.
+        X, labels, weights, bump = problem
+        logger, handler = logging.getLogger("langrec.plda"), _Messages()
+        logger.addHandler(handler)
+        try:
+            with pytest.raises(ValueError, match="^within-class covariance is singular: every "):
+                em_train(X, labels, weights, n_iters=5)
+        finally:
+            logger.removeHandler(handler)
+        assert not any("ridge" in m for m in handler.messages)
+        try:
+            em_train(X + bump, labels, weights, n_iters=5)
+        except ValueError as exc:
+            assert "single point" not in str(exc)
 
     def test_rank_deficient_within_scatter_is_ridge_repaired(self, caplog):
         # Within-class scatter only along the first axis: singular, positive trace.

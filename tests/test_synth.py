@@ -5,10 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from langrec.backend import fit_generative_backend
+from langrec.backend import fit_generative_backend, generative_fit
 from langrec.dataio import balance_weights, generate_trials
 from langrec.metrics import eer, subset_trials
-from langrec.synth import SynthConfig, generate, run_comparison, tune_cluster_threshold
+from langrec.synth import (
+    SynthConfig,
+    generate,
+    run_comparison,
+    tune_cluster_threshold,
+    tune_hierarchy,
+)
 from langrec.training import TrainConfig
 
 
@@ -182,6 +188,27 @@ class TestThresholdTuning:
                 train, [(dev, dev_trials)], weights, plda, pi=0.01
             )
             assert cmap.cluster_languages == truth.cluster_languages
+
+    def test_candidate_whose_stage_classes_are_points_is_skipped(self, caplog):
+        # run_comparison's inputs on a tiny config. Cut to two clusters, stage
+        # 1 is 1-D and length-normalised to +-1, so each of its classes is one
+        # point; EM refuses that from the rows, whatever the sign of the
+        # roundoff in their summed scatter.
+        config = SynthConfig(dim=8, cluster_sizes=(2, 2, 1), n_train=30, n_dev=10, n_test=10)
+        train, dev, _, truth = generate(config)
+        weights = balance_weights(train)
+        plda = generative_fit(train, weights).generative_backend()
+        dev_sets = [(dev, generate_trials(dev, plda.detector_labels))]
+        with caplog.at_level("INFO", logger="langrec.synth"):
+            threshold, hier = tune_hierarchy(train, dev_sets, weights, plda, TrainConfig().pi)
+        messages = [r.getMessage() for r in caplog.records]
+        assert (
+            "skipping threshold 31.22: within-class covariance is singular: "
+            "every class is a single point"
+        ) in messages
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert f"{threshold:.4g}" == "12.27"
+        assert hier.cluster_map.cluster_languages == truth.cluster_languages
 
 
 class TestRunComparison:
