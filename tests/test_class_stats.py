@@ -5,7 +5,7 @@ EmbeddingSet.class_stats, pooled from the statistics of each language (or
 of each (language, label) group). The properties below compare them with
 statistics summed over the rows of each class, and check that the
 per-language statistics a set keeps never leak into a fit with other
-weights or on another set.
+weights or on another set, or let the scale of the weights reach a fit.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from langrec.backend import generative_fit
 from langrec.dataio import EmbeddingSet, balance_weights, class_stats, group_rows
 from langrec.hier import init_hier
+from langrec.plda import em_train
 from langrec.preproc import lda
 from langrec.synth import SynthConfig, generate
 
@@ -112,6 +113,7 @@ def fit_bytes(train, truth, weights) -> bytes:
     flat = generative_fit(train, weights)
     hier = init_hier(train, truth, weights)
     parts = [flat.preproc.A, flat.preproc.b, flat.model.W, flat.model.B_prec, flat.U]
+    parts += [flat.generative_backend().score_matrix(train.vectors)]
     parts += [hier.shifts, hier.score_matrix(train.vectors)]
     for stage in (hier.stage1, hier.stage2):
         parts += [stage.preproc.A, stage.preproc.b, stage.params.Lambda, stage.detectors]
@@ -157,3 +159,24 @@ def test_each_set_keeps_its_own_statistics():
         want = fit_lda(vectors, base.languages, weights)
         assert got.A.tobytes() == want.A.tobytes() and got.b.tobytes() == want.b.tobytes()
         del train
+
+
+@SETTINGS
+@given(labelled_sets(), st.integers(-60, 60).filter(bool))
+def test_em_fit_does_not_depend_on_a_power_of_two_weight_scale(problem, k):
+    # em_train normalises the weights to mean one, which is exact for 2^k.
+    train, weights, labels, _, _ = problem
+    fits = [em_train(train.vectors, labels, w) for w in (weights, weights * 2.0**k)]
+    for name in ("mu", "B_prec", "W"):
+        assert getattr(fits[0], name).tobytes() == getattr(fits[1], name).tobytes(), name
+
+
+@settings(SETTINGS, max_examples=12)
+@given(st.integers(0, 5), st.integers(-20, 20).filter(bool))
+def test_fits_do_not_depend_on_a_power_of_four_weight_scale(seed, j):
+    # lda and class_stats see the weights unnormalised: a scale of 4^j has
+    # the exact square root 2^j; an odd power of two moves scores at 1e-13.
+    train, truth = desk_set(seed)
+    weights = balance_weights(train)
+    weights = weights * np.random.default_rng(seed).uniform(0.5, 2.0, size=len(weights))
+    assert fit_bytes(train, truth, weights) == fit_bytes(fresh(train), truth, weights * 4.0**j)

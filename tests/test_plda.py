@@ -540,8 +540,9 @@ def random_spd(rng, d):
 
 
 class TestLapackCalls:
-    """EM's triangular solves and generalised eigenproblems call LAPACK
-    directly; they must give SciPy's results, bit for bit, and its errors."""
+    """EM's triangular solves call LAPACK's trtrs directly, and its
+    generalised eigenproblems go through scipy.linalg.eigh; both helpers
+    must give SciPy's results, bit for bit, and its errors."""
 
     SIZES = range(1, 65)
 
