@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dtrtrs
 
 from .dataio import check_weights, class_stats, group_rows, mirror_upper, read_only
 
@@ -61,30 +60,15 @@ def _chol_logdet(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """a^-1 b for a triangular a: scipy.linalg.solve_triangular's finite check
-    and dtrtrs call (on a Fortran-ordered a itself, on any other as its
-    transpose), without the rest of its wrapper. EM makes four solves per
-    iteration, mostly of a few dimensions, where that wrapper costs about
-    10 us a call, more than the solve: 720 calls add 9 ms to a 41-ms
-    comparison at the 8-d scale of perfbench's desk set-up."""
-    a, b = np.asarray_chkfinite(a), np.asarray_chkfinite(b)
-    if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, lower=lower)
-    else:
-        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
-
-
 def _chol_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = _solve_triangular(L, rhs, lower=True)
-    return _solve_triangular(L.T, y, lower=False)
+    y = scipy.linalg.solve_triangular(L, rhs, lower=True)
+    return scipy.linalg.solve_triangular(L.T, y, lower=False)
 
 
 def _chol_inverse(L: np.ndarray) -> np.ndarray:
-    inv = _chol_solve(L, np.eye(L.shape[0]))
+    # One SciPy call rather than _chol_solve's two: the same bits for a
+    # matrix right-hand side, at half the wrapper overhead EM pays per step.
+    inv = scipy.linalg.cho_solve((L, True), np.eye(L.shape[0]))
     return 0.5 * (inv + inv.T)
 
 

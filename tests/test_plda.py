@@ -12,6 +12,7 @@ from langrec import plda
 from langrec.plda import (
     PairScoreParams,
     PldaModel,
+    _chol_inverse,
     _chol_solve,
     _diagonal_basis,
     apply_llr_tables,
@@ -540,9 +541,11 @@ def random_spd(rng, d):
 
 
 class TestLapackCalls:
-    """EM's triangular solves call LAPACK's trtrs directly, and its
-    generalised eigenproblems go through scipy.linalg.eigh; both helpers
-    must give SciPy's results, bit for bit, and its errors."""
+    """EM's helpers hold to SciPy: _chol_solve is two
+    scipy.linalg.solve_triangular calls, _chol_inverse one
+    scipy.linalg.cho_solve call on the identity, and _diagonal_basis one
+    scipy.linalg.eigh(B, W) call. They give SciPy's errors, and the same
+    bits as the two triangular solves and eigh."""
 
     SIZES = range(1, 65)
 
@@ -555,6 +558,14 @@ class TestLapackCalls:
                 want = scipy.linalg.solve_triangular(L.T, y, lower=False)
                 got = _chol_solve(L, rhs)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
+
+    def test_chol_inverse_matches_two_triangular_solves(self):
+        rng = np.random.default_rng(53)
+        for d in self.SIZES:
+            L = np.linalg.cholesky(random_spd(rng, d))
+            y = scipy.linalg.solve_triangular(L, np.eye(d), lower=True)
+            inv = scipy.linalg.solve_triangular(L.T, y, lower=False)
+            assert _chol_inverse(L).tobytes() == (0.5 * (inv + inv.T)).tobytes(), d
 
     def test_diagonal_basis_matches_scipy(self):
         rng = np.random.default_rng(51)
