@@ -73,8 +73,8 @@ class FlatBackend:
         params = PairScoreParams(theta["Lambda"], theta["Gamma"], theta["c"], theta["k"])
         detectors = read_only(theta["detectors"])
         L = len(labels)
-        if len(set(labels)) != L:
-            raise ValueError("detector labels must be unique")
+        if len(set(labels)) != L or not all(isinstance(label, str) for label in labels):
+            raise ValueError("detector labels must be unique strings")
         if detectors.shape != (L, preproc.out_dim):
             raise ValueError("detector matrix shape disagrees with preprocessing")
         if params.dim != preproc.out_dim:
@@ -120,9 +120,9 @@ class GenerativeBackend:
 
     def __post_init__(self):
         object.__setattr__(self, "detector_labels", tuple(self.detector_labels))
-        L, d = len(self.detector_labels), self.model.dim
-        if len(set(self.detector_labels)) != L:
-            raise ValueError("detector labels must be unique")
+        labels, L, d = self.detector_labels, len(self.detector_labels), self.model.dim
+        if len(set(labels)) != L or not all(isinstance(label, str) for label in labels):
+            raise ValueError("detector labels must be unique strings")
         if self.preproc.out_dim != d:
             raise ValueError("PLDA model dimension disagrees with preprocessing")
         counts, sums = self.enroll.counts, self.enroll.sums

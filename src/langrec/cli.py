@@ -75,16 +75,19 @@ def _config_from_doc(cls, doc: dict, what: str):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from None
 
 
 def cmd_synth(args) -> int:
     doc = _load_json(args.config, "synth")
     config = _config_from_doc(SynthConfig, doc, "synth")
+    # Finite but huge sigmas can overflow in the draws; the sets' finiteness
+    # check names that.
+    with np.errstate(all="ignore"):
+        train, dev, test, truth = generate(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, dev, test, truth = generate(config)
     save_embeddings(train, out_dir / "train.tsv")
     save_embeddings(dev, out_dir / "dev.tsv")
     save_embeddings(test, out_dir / "test.tsv")
@@ -154,8 +157,7 @@ def cmd_train(args) -> int:
         return 0
 
     dev_set = load_embeddings(args.dev)
-    detectors = tuple(sorted(train_set.language_inventory()))
-    dev_trials = generate_trials(dev_set, detectors)
+    dev_trials = generate_trials(dev_set, train_set.language_inventory())
     dev_sets = [(dev_set, dev_trials)]
 
     if args.kind == "dplda":
@@ -199,10 +201,8 @@ def cmd_score(args) -> int:
 
 
 def _read_scores(path):
-    """Per-line sample ids, detectors and scores.
-
-    Every sample must have exactly one score for every detector in the file.
-    """
+    """Per-line sample ids, detectors and scores, each (sample, detector)
+    pair at most once."""
     ids, dets, scores = [], [], []
     seen = set()
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -228,11 +228,6 @@ def _read_scores(path):
         scores.append(score)
     if not ids:
         raise ParseError(f"{path}: empty score file")
-    detectors = tuple(dict.fromkeys(dets))
-    for sid in dict.fromkeys(ids):
-        lacking = [d for d in detectors if (sid, d) not in seen]
-        if lacking:
-            raise ParseError(f"{path}: sample {sid!r} has no score for detector {lacking[0]!r}")
     return ids, dets, np.array(scores)
 
 
@@ -249,17 +244,22 @@ def cmd_eval(args) -> int:
         if not args.cluster:
             raise ConfigError("--subset requires --cluster")
         cmap = _load_cluster_map(args.cluster)
-        members = cmap.cluster_languages.get(args.subset)
-        if members is None:
-            raise ConfigError(f"unknown cluster {args.subset!r}")
-        if len(members) < 2:
-            raise ConfigError(f"cluster {args.subset!r} has fewer than 2 languages")
+        try:
+            metrics.within_cluster_languages(cmap, args.subset)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     ids, dets, scores = _read_scores(args.scores)
     test = load_embeddings(args.test)
     lang_of = dict(zip(test.sample_ids, test.languages))
     missing = sorted({sid for sid in ids if sid not in lang_of})
     if missing:
         raise ParseError(f"score file references unknown sample_id {missing[0]!r}")
+    # The pairs are distinct and lie in test samples x file detectors.
+    detectors = tuple(dict.fromkeys(dets))
+    if len(ids) < len(test) * len(detectors):
+        scored = set(zip(ids, dets))
+        sid, det = next((s, d) for s in test.sample_ids for d in detectors if (s, d) not in scored)
+        raise ParseError(f"{args.scores}: sample {sid!r} has no score for detector {det!r}")
     is_target = np.array([lang_of[s] == d for s, d in zip(ids, dets)], dtype=bool)
     trials = TrialSet(tuple(ids), tuple(dets), is_target)
 
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except (ConfigError, modelio.ModelFormatError) as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, OverflowError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -12,6 +12,7 @@ is fully deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -204,8 +205,8 @@ def cluster_map_to_json(cmap: ClusterMap) -> str:
 
 def cluster_map_from_doc(doc) -> ClusterMap:
     """Inverse of cluster_map_to_doc. Raises ValueError unless `clusters`
-    maps names to lists of language names and `threshold` is a number or
-    null."""
+    maps names to lists of language names and `threshold` is a finite
+    number or null."""
     if not isinstance(doc, dict) or "clusters" not in doc:
         raise ValueError("cluster map JSON lacks 'clusters'")
     clusters = doc["clusters"]
@@ -216,7 +217,9 @@ def cluster_map_from_doc(doc) -> ClusterMap:
             raise ValueError(f"cluster {name!r} must be a list of language names")
     threshold = doc.get("threshold")
     if threshold is not None and (
-        isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or (isinstance(threshold, float) and not math.isfinite(threshold))
     ):
-        raise ValueError(f"threshold must be a number or null, got {threshold!r}")
+        raise ValueError(f"threshold must be a finite number or null, got {threshold!r}")
     return ClusterMap(clusters, threshold)

@@ -101,30 +101,28 @@ class EmbeddingSet:
         """The classes of the per-row labels, sorted as group_rows sorts them,
         and their statistics under the weights.
 
-        They are pooled from the statistics of each language, or of each
-        (language, label) group where labels split a language. The
-        per-language ones, with the condition number of their scatter
-        (ClassStats.cond), are computed once per weight vector: the set keeps
-        them, keyed by the bytes of the weights, until other weights ask.
+        Where each class is a union of languages, they are pooled from the
+        statistics of each language. Those, with the condition number of
+        their scatter (ClassStats.cond), are computed once per weight vector:
+        the set keeps them, keyed by the bytes of the weights, until other
+        weights ask. Labels that split a language are summed from their rows
+        by class_stats.
         """
         weights = check_weights(weights, len(self))
         labels = np.fromiter(labels, dtype=object)
         if labels.shape != (len(self),):
             raise ValueError("labels must have one entry per row")
         _, rows, index = self._language_rows
-        atom_labels = labels[[r[0] for r in rows]]
-        if np.all(labels == atom_labels[index]):
-            key = weights.tobytes()
-            if self._kept_stats is None or self._kept_stats[0] != key:
-                stats = class_stats(self.vectors, rows, weights).with_cond()
-                self._kept_stats = (key, stats)
-            atoms = self._kept_stats[1]
-        else:
-            pairs, rows = group_rows(zip(self.languages, labels))
-            atom_labels = [c for _, c in pairs]
-            atoms = class_stats(self.vectors, rows, weights)
-        classes, members = group_rows(atom_labels)
-        return classes, atoms.pooled(group_index(members, len(atom_labels)), len(classes))
+        lang_labels = labels[[r[0] for r in rows]]
+        if not np.all(labels == lang_labels[index]):
+            classes, rows = group_rows(labels)
+            return classes, class_stats(self.vectors, rows, weights)
+        key = weights.tobytes()
+        if self._kept_stats is None or self._kept_stats[0] != key:
+            self._kept_stats = (key, class_stats(self.vectors, rows, weights).with_cond())
+        classes, members = group_rows(lang_labels)
+        owner = group_index(members, len(lang_labels))
+        return classes, self._kept_stats[1].pooled(owner, len(classes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,14 +284,10 @@ def generate_trials(embeddings: EmbeddingSet, detectors: Sequence[str]) -> Trial
     if len(set(detectors)) != len(detectors):
         raise ValueError("duplicate detector language")
     n, L = len(embeddings), len(detectors)
-    ids = []
-    det = []
-    for sid in embeddings.sample_ids:
-        ids.extend([sid] * L)
-        det.extend(detectors)
+    ids = np.repeat(np.array(embeddings.sample_ids, dtype=object), L)
     langs = np.repeat(np.array(embeddings.languages, dtype=object), L)
     tgt = langs == np.tile(np.array(detectors, dtype=object), n)
-    return TrialSet(tuple(ids), tuple(det), tgt.astype(bool))
+    return TrialSet(tuple(ids), detectors * n, tgt.astype(bool))
 
 
 def trial_index(

@@ -152,6 +152,16 @@ def evaluate(
     )
 
 
+def within_cluster_languages(cluster_map: ClusterMap, cluster_id: str) -> tuple[str, ...]:
+    """The languages of a known cluster of at least two, or ValueError."""
+    members = cluster_map.cluster_languages.get(cluster_id)
+    if members is None:
+        raise ValueError(f"unknown cluster {cluster_id!r}")
+    if len(members) < 2:
+        raise ValueError(f"cluster {cluster_id!r} has fewer than 2 languages")
+    return members
+
+
 def subset_trials(
     trials: TrialSet,
     sample_languages: Mapping[str, str],
@@ -161,14 +171,9 @@ def subset_trials(
     """Within-cluster trial subset, plus the boolean mask into the input trials.
 
     Keeps trials whose sample language and detector language both belong to
-    the cluster; requires a cluster of at least two languages.
+    the cluster (within_cluster_languages).
     """
-    members = cluster_map.cluster_languages.get(cluster_id)
-    if members is None:
-        raise ValueError(f"unknown cluster {cluster_id!r}")
-    if len(members) < 2:
-        raise ValueError(f"cluster {cluster_id!r} has fewer than 2 languages")
-    member_set = set(members)
+    member_set = set(within_cluster_languages(cluster_map, cluster_id))
     mask = np.array(
         [
             sample_languages[sid] in member_set and det in member_set

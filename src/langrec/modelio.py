@@ -36,10 +36,6 @@ def _preproc_doc(p: AffinePreproc) -> dict:
     return {"A": p.A.tolist(), "b": p.b.tolist()}
 
 
-def _preproc_from(doc: dict) -> AffinePreproc:
-    return AffinePreproc(A=np.array(doc["A"]), b=np.array(doc["b"]))
-
-
 def _flat_doc(backend: FlatBackend) -> dict:
     theta = backend.theta
     return {
@@ -111,7 +107,7 @@ def model_from_doc(doc: dict):
         return _backend_from_doc(doc, kind)
     except KeyError as exc:
         raise ModelFormatError(f"{kind} model file is missing section {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed {kind} model file: {exc}") from exc
 
 
@@ -122,9 +118,9 @@ def _backend_from_doc(doc: dict, kind: str):
             B_prec=np.array(doc["plda"]["B_prec"]),
             W=np.array(doc["plda"]["W"]),
         )
-        enroll = doc["enroll"]
+        enroll, pre = doc["enroll"], doc["preproc"]
         return GenerativeBackend(
-            preproc=_preproc_from(doc["preproc"]),
+            preproc=AffinePreproc(A=np.array(pre["A"]), b=np.array(pre["b"])),
             model=model,
             detector_labels=tuple(e["language"] for e in enroll),
             enroll=EnrollmentStats(

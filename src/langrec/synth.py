@@ -142,18 +142,16 @@ def tune_hierarchy(
     """Pick the merge threshold whose hierarchy has the best dev loss at init,
     and return it with that hierarchy's initialised backend.
 
-    Candidates come from the observed merge-distance sequence (one between
-    every pair of consecutive merge distances, plus the extremes).
-    Candidates whose hierarchy init_hier or EM refuses (ValueError) are
-    skipped.
+    Candidates are the midpoints between consecutive distinct merge
+    distances; a cut below the first merge (singletons) or above the last
+    (one cluster) is a hierarchy init_hier refuses. Candidates whose
+    hierarchy init_hier or EM refuses (ValueError) are skipped.
     """
     means = per_language_means(train)
     langs, dist = plda_distance_matrix(means, gen_backend.model, gen_backend.preproc)
     merges = linkage_merges(langs, dist)
     dists = [m.distance for m in merges]
-    candidates = [dists[0] - 1.0]
-    candidates += [0.5 * (a + b) for a, b in zip(dists, dists[1:]) if b > a]
-    candidates.append(dists[-1] + 1.0)
+    candidates = [0.5 * (a + b) for a, b in zip(dists, dists[1:]) if b > a]
 
     evaluate_dev = dev_evaluator(langs, dev_sets, pi)
     best = None
@@ -228,6 +226,12 @@ def run_comparison(
         for cname in cmap.cluster_names
         if len(cmap.cluster_languages[cname]) >= 2
     }
+
+    def subset_report(scores, sub) -> dict:
+        rep = evaluate(scores, sub.is_target)
+        rep.ci_low, rep.ci_high = bootstrap_ci(scores, sub, n_boot=n_boot, seed=bootstrap_seed)
+        return asdict(rep)
+
     systems = {"plda": plda_backend, "dplda": dplda, "hdplda": hdplda}
     report: dict[str, dict] = {}
     scores_by_system: dict[str, np.ndarray] = {}
@@ -235,18 +239,10 @@ def run_comparison(
         rows, cols = trial_index(test_set, trials, backend.detector_labels)
         flat = backend.score_matrix(test_set.vectors)[rows, cols]
         scores_by_system[name] = flat
-        rep = evaluate(flat, trials.is_target)
-        rep.ci_low, rep.ci_high = bootstrap_ci(
-            flat, trials, n_boot=n_boot, seed=bootstrap_seed
-        )
-        subsets = {"all": asdict(rep)}
-        for cname, (sub, mask) in cluster_subsets.items():
-            sub_rep = evaluate(flat[mask], sub.is_target)
-            sub_rep.ci_low, sub_rep.ci_high = bootstrap_ci(
-                flat[mask], sub, n_boot=n_boot, seed=bootstrap_seed
-            )
-            subsets[f"cluster:{cname}"] = asdict(sub_rep)
-        report[name] = subsets
+        report[name] = {"all": subset_report(flat, trials)} | {
+            f"cluster:{cname}": subset_report(flat[mask], sub)
+            for cname, (sub, mask) in cluster_subsets.items()
+        }
 
     result = ComparisonResult(
         report=report, cluster_map=cmap, scores=scores_by_system, trials=trials

@@ -488,6 +488,8 @@ def dev_evaluator(
     return evaluate
 
 
+# A step that overflows is a divergence, which the non-finite loss reports.
+@np.errstate(all="ignore")
 def train(
     backend,
     train_set: EmbeddingSet,

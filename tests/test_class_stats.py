@@ -1,11 +1,12 @@
 """Class statistics pooled from per-language statistics, and their reuse.
 
 Every generative fit takes its LDA from the class statistics of
-EmbeddingSet.class_stats, pooled from the statistics of each language (or
-of each (language, label) group). The properties below compare them with
-statistics summed over the rows of each class, and check that the
-per-language statistics a set keeps never leak into a fit with other
-weights or on another set, or let the scale of the weights reach a fit.
+EmbeddingSet.class_stats, pooled from the statistics of each language
+(labels that split a language are summed from their rows). The properties
+below compare them with statistics summed over the rows of each class, and
+check that the per-language statistics a set keeps never leak into a fit
+with other weights or on another set, or let the scale of the weights reach
+a fit.
 """
 
 import numpy as np

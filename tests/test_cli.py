@@ -697,6 +697,22 @@ class TestEvalCommand:
         assert code == 1
         assert f"sample {sid!r} has no score for detector {det!r}" in capsys.readouterr().err
 
+    def test_score_file_without_a_test_sample_exits_1_naming_it(
+        self, workdir, scores_file, tmp_path, capsys
+    ):
+        # Every line of one sample goes: the rest of the file is complete in
+        # itself, so only the test set shows what is missing.
+        lines = scores_file.read_text().splitlines()
+        sid, det, _ = lines[0].split("\t")
+        bad = tmp_path / "no_sample.tsv"
+        bad.write_text("\n".join(l for l in lines if not l.startswith(sid + "\t")) + "\n")
+        out = tmp_path / "x.json"
+        assert main(["eval", str(bad), str(workdir / "data" / "test.tsv"), str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("langrec: error:")
+        assert f"sample {sid!r} has no score for detector {det!r}" in err
+        assert not out.exists()
+
     def test_non_finite_score_exits_1_naming_line(self, workdir, scores_file, tmp_path, capsys):
         lines = scores_file.read_text().splitlines()
         for i in range(2, len(lines), 3):

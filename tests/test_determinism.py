@@ -1,4 +1,5 @@
-"""Fitted and trained scores do not depend on the number of BLAS threads.
+"""Fitted and trained scores, and the files of a CLI walkthrough, do not
+depend on the number of BLAS threads.
 
 Each run is a fresh interpreter, because OpenBLAS reads its thread count
 once, when numpy is first imported.
@@ -116,6 +117,44 @@ for n_iters in (0, 5):
 print(digest.hexdigest())
 """
 
+# The 16-d walkthrough of CI (.github/workflows/tier1.yml), with its configs,
+# through langrec.cli.main, warnings as errors; argv[1] is a new directory.
+WALKTHROUGH_SCRIPT = """
+import json
+import sys
+import warnings
+from pathlib import Path
+
+from langrec.cli import main
+
+warnings.simplefilter("error")
+d = Path(sys.argv[1])
+d.mkdir()
+(d / "synth.json").write_text(json.dumps({"dim": 16, "cluster_sizes": [2, 2, 1],
+    "sigma_language": 0.15, "n_train": 30, "n_dev": 10, "n_test": 10, "seed": 0}))
+(d / "train.json").write_text(json.dumps({"batch_size": 64, "stages": [[4, 0.001]],
+    "finetune": [2, 0.0001], "checkpoint_every": 2, "em_iters": 10}))
+data, fit = f"{d}/data", f"{d}/data/train.tsv {d}/data/dev.tsv {d}/train.json"
+commands = [
+    f"synth {d}/synth.json {data}",
+    f"train --kind plda {fit} {d}/plda.json",
+    f"cluster {data}/train.tsv {d}/plda.json {d}/clusters.json --threshold 20",
+    f"train --kind dplda {fit} {d}/dplda.json",
+    f"train --kind hdplda {fit} {d}/hdplda.json --clusters {d}/clusters.json",
+]
+for kind in ("plda", "dplda", "hdplda"):
+    commands.append(f"score {d}/{kind}.json {data}/test.tsv {d}/{kind}.scores.tsv")
+    commands.append(
+        f"eval {d}/{kind}.scores.tsv {data}/test.tsv {d}/{kind}.report.json --bootstrap 20"
+    )
+commands.append(
+    f"eval {d}/hdplda.scores.tsv {data}/test.tsv {d}/report_c0.json "
+    f"--cluster {data}/truth_clusters.json --subset c0_l0"
+)
+for command in commands:
+    assert main(command.split()) == 0, command
+"""
+
 
 def score_hash(script: str, threads: int, *args: str) -> str:
     src = str(Path(langrec.__file__).resolve().parents[1])
@@ -149,3 +188,17 @@ def test_512d_class_statistics_identical_with_one_and_two_blas_threads():
 
 def test_em_fit_identical_with_one_and_two_blas_threads():
     assert score_hash(EM_SCRIPT, 1) == score_hash(EM_SCRIPT, 2)
+
+
+def test_cli_walkthrough_writes_the_same_bytes_with_one_and_two_blas_threads(tmp_path):
+    # Every model, training log, cluster map, dendrogram, score and report.
+    written = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        score_hash(WALKTHROUGH_SCRIPT, threads, str(out))
+        written[threads] = {
+            str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+    assert len(written[1]) == 21
+    assert sorted(written[1]) == sorted(written[2])
+    assert [name for name in sorted(written[1]) if written[1][name] != written[2][name]] == []
