@@ -82,10 +82,7 @@ def _config_from_doc(cls, doc: dict, what: str):
 def cmd_synth(args) -> int:
     doc = _load_json(args.config, "synth")
     config = _config_from_doc(SynthConfig, doc, "synth")
-    # Finite but huge sigmas can overflow in the draws; the sets' finiteness
-    # check names that.
-    with np.errstate(all="ignore"):
-        train, dev, test, truth = generate(config)
+    train, dev, test, truth = generate(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_embeddings(train, out_dir / "train.tsv")
@@ -101,18 +98,12 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     if not math.isfinite(args.threshold):
         raise ConfigError(f"--threshold must be finite, got {args.threshold}")
-    # As in cmd_score: finite but extreme numbers in the model or the
-    # embeddings can overflow in the pair-score parameters or the language
-    # means; the model's finiteness check and the distance check name the error.
-    with np.errstate(all="ignore"):
-        backend, meta = modelio.load_model(args.model)
-        if meta["kind"] != "plda":
-            raise ConfigError("clustering needs a model of kind 'plda'")
-        train = load_embeddings(args.train)
-        means = per_language_means(train)
-        langs, dist = clustering.plda_distance_matrix(means, backend.model, backend.preproc)
-    if not np.isfinite(dist[~np.eye(len(langs), dtype=bool)]).all():
-        raise ValueError("non-finite PLDA distance between language means")
+    backend, meta = modelio.load_model(args.model)
+    if meta["kind"] != "plda":
+        raise ConfigError("clustering needs a model of kind 'plda'")
+    train = load_embeddings(args.train)
+    means = per_language_means(train)
+    langs, dist = clustering.plda_distance_matrix(means, backend.model, backend.preproc)
     merges = clustering.linkage_merges(langs, dist)
     cmap = clustering.cut_merges(langs, merges, args.threshold)
     out = Path(args.out)
@@ -123,22 +114,27 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-_TRAIN_EXTRAS = ("out_dim", "out_dim1", "out_dim2", "em_iters")
+# The train-config keys beside TrainConfig's that each kind reads; any other
+# key, another kind's included, is unknown.
+_TRAIN_EXTRAS = {
+    "plda": ("out_dim", "em_iters"),
+    "dplda": ("out_dim", "em_iters"),
+    "hdplda": ("out_dim1", "out_dim2", "em_iters"),
+}
 
 
 def cmd_train(args) -> int:
     doc = _load_json(args.config, "train")
-    config = _config_from_doc(
-        TrainConfig, {k: v for k, v in doc.items() if k not in _TRAIN_EXTRAS}, "train"
-    )
-    extras = {key: doc[key] for key in _TRAIN_EXTRAS if key in doc}
+    what = f"{args.kind} train"
+    extras = {key: doc[key] for key in _TRAIN_EXTRAS[args.kind] if key in doc}
+    config = _config_from_doc(TrainConfig, {k: v for k, v in doc.items() if k not in extras}, what)
     for key, value in extras.items():
         try:
             check_count(key, value, 0 if key == "em_iters" else 1)
         except ValueError as exc:
-            raise ConfigError(f"invalid train config: {exc}") from None
+            raise ConfigError(f"invalid {what} config: {exc}") from None
     if config.alpha > 0.0 and args.kind != "hdplda":
-        raise ConfigError(f"invalid train config: alpha > 0 needs kind 'hdplda', not {args.kind!r}")
+        raise ConfigError(f"invalid {what} config: alpha > 0 needs kind 'hdplda'")
     if args.kind == "hdplda":
         if not args.clusters:
             raise ConfigError("kind 'hdplda' requires --clusters")
@@ -177,12 +173,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    # Finite but extreme numbers in the model or the embeddings can overflow
-    # in the scoring tables or the scores; the scores are checked instead.
-    with np.errstate(all="ignore"):
-        backend, _ = modelio.load_model(args.model)
-        test = load_embeddings(args.test)
-        S = backend.score_matrix(test.vectors)
+    backend, _ = modelio.load_model(args.model)
+    test = load_embeddings(args.test)
+    S = backend.score_matrix(test.vectors)
     bad = np.argwhere(~np.isfinite(S))
     if len(bad):
         i, j = bad[0]
@@ -341,7 +334,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Finite but extreme inputs can overflow anywhere; the named checks
+        # on embeddings, models, distances, scores and training losses say so.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, modelio.ModelFormatError) as exc:
         print(f"{PROG}: config error: {exc}", file=sys.stderr)
         return 2

@@ -97,7 +97,8 @@ def plda_distance_matrix(
     """Negated pairwise PLDA scores between preprocessed language means.
 
     Returns the sorted language list and the symmetric distance matrix with
-    a -inf sentinel on the (unused) diagonal.
+    a -inf sentinel on the (unused) diagonal. Raises ValueError when a
+    distance is not finite, as finite but extreme means or models can make it.
     """
     langs = sorted(means)
     if len(langs) < 2:
@@ -106,6 +107,8 @@ def plda_distance_matrix(
     params = to_pair_params(model)
     scores = pair_score_matrix(params, M, M)
     dist = -0.5 * (scores + scores.T)
+    if not np.isfinite(dist[~np.eye(len(langs), dtype=bool)]).all():
+        raise ValueError("non-finite PLDA distance between language means")
     np.fill_diagonal(dist, -np.inf)
     return langs, dist
 

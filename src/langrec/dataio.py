@@ -77,17 +77,6 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingSet):
-            return NotImplemented
-        return (
-            self.sample_ids == other.sample_ids
-            and self.languages == other.languages
-            and self.datasets == other.datasets
-            and self.vectors.shape == other.vectors.shape
-            and bool(np.all(self.vectors == other.vectors))
-        )
-
     def language_inventory(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.languages)))
 

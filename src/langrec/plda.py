@@ -93,7 +93,6 @@ class PldaModel:
             raise ValueError("mu, B_prec, W dimensions disagree")
         if not all(np.all(np.isfinite(a)) for a in (mu, B, W)):
             raise ValueError("mu, B_prec and W must be finite")
-        np.linalg.cholesky(W)
         psi, V = scipy.linalg.eigh(B, W)
         if not psi[0] > 0.0:
             # Exact scoring and to_pair_params work in this basis; with psi <= 0

@@ -165,7 +165,7 @@ def tune_hierarchy(
             # stage of two clusters is +-1 under length normalization).
             logger.info("skipping threshold %.4g: %s", threshold, exc)
             continue
-        loss = float(np.mean(evaluate_dev(backend)))
+        loss = float(np.mean(evaluate_dev(backend.score_matrix)))
         if best is None or loss < best[0]:
             best = (loss, threshold, backend)
     if best is None:

@@ -9,10 +9,10 @@ balanced batches and dev-based checkpoint selection.
 The engine works on dictionaries of parameter arrays keyed by get_params's
 names: a flat stage's FLAT_KEYS, the keys of the mapping a FlatBackend keeps
 as its only parameter store, prefixed "stage1." and "stage2." beside
-"shifts" for a hierarchical backend. The loss functions read such a
-dictionary unchecked, and with_params builds a backend on it. Adam never
-writes in place, so checkpoints keep its dictionaries uncopied; only the
-backend returned for the best one copies them.
+"shifts" for a hierarchical backend. The loss functions and the dev scores
+read such a dictionary unchecked, and with_params builds a backend on it.
+Adam never writes in place, so checkpoints keep its dictionaries uncopied;
+only the backend returned for the best one copies them.
 """
 
 from __future__ import annotations
@@ -204,6 +204,17 @@ def _stage(params, prefix):
 def _tables(theta):
     """pair_tables of one flat stage's parameters."""
     return pair_tables(theta["Lambda"], theta["Gamma"], theta["c"], theta["k"], theta["detectors"])
+
+
+def _scorer(params, info: HierCombineInfo | None):
+    """X -> the scores of the flat backend on params, or of the hierarchical
+    one with the combination info, from tables built once."""
+    if info is None:
+        tables = _tables(params)
+        return lambda X: flat_forward(params, tables, X)[0]
+    theta1 = _stage(params, "stage1.")
+    t1, t2 = _tables(theta1), stage2_tables(_stage(params, "stage2."), params["shifts"], info)
+    return lambda X: hier_forward(theta1, t1, t2, info, X)[0]
 
 
 def _pair_backward(theta, U, G):
@@ -460,29 +471,24 @@ def dev_evaluator(
     pi: float,
     select_metric: str = "loss",
 ):
-    """evaluate(backend) -> one dev loss per dev set: the trial BCE at prior
-    pi, or the actual DCF when select_metric is "dcf".
-
-    The trial indices into each dev set's score matrix are built once, for
-    backends whose detectors are detector_labels in that order.
+    """evaluate(score) -> one dev loss per dev set, score(X) giving the scores
+    of the rows X against detector_labels in that order: the trial BCE at
+    prior pi, or the actual DCF (+inf over non-finite scores) when
+    select_metric is "dcf". The trial indices are built once.
     """
-    detector_labels = tuple(detector_labels)
     prepared = [
         (es.vectors, ts.is_target, *trial_index(es, ts, detector_labels))
         for es, ts in dev_sets
     ]
 
     def metric(scores, is_target):
-        if select_metric == "dcf":
-            return actual_dcf(scores, is_target)[2]
-        return trial_bce(scores, is_target, pi)
+        if select_metric == "loss":
+            return trial_bce(scores, is_target, pi)
+        return actual_dcf(scores, is_target)[2] if np.isfinite(scores).all() else math.inf
 
-    def evaluate(backend):
-        if backend.detector_labels != detector_labels:
-            raise ValueError("backend detectors disagree with the dev trial index")
+    def evaluate(score):
         return tuple(
-            metric(backend.score_matrix(X)[rows, cols], is_target)
-            for X, is_target, rows, cols in prepared
+            metric(score(X)[rows, cols], is_target) for X, is_target, rows, cols in prepared
         )
 
     return evaluate
@@ -502,8 +508,9 @@ def train(
     Runs the configured stages, checkpoints every `checkpoint_every`
     batches (and at stage ends), restores the best checkpoint by average
     dev metric, fine-tunes it, and returns the overall best checkpoint as a
-    new backend; the backend given is left as it is. A non-finite loss
-    aborts training, falling back to the best checkpoint recorded so far.
+    new backend, the only one it builds; the backend given is left as it
+    is. A non-finite loss, or dev loss after checkpoint 0, aborts training,
+    falling back to the best checkpoint recorded so far.
     Each batch of sample_batch is trained on its distinct rows, each counted
     as often as it was drawn, which gives the loss and gradients of the
     batch as drawn up to rounding.
@@ -526,19 +533,19 @@ def train(
         backend.detector_labels, dev_sets, config.pi, config.select_metric
     )
     if isinstance(backend, HierBackend):
-        loss_grads = partial(
-            hier_loss_grads, info=backend.combine, pi=config.pi, alpha=config.alpha
-        )
+        info = backend.combine
+        loss_grads = partial(hier_loss_grads, info=info, pi=config.pi, alpha=config.alpha)
     elif config.alpha > 0.0:
         raise ValueError("alpha > 0 requires a hierarchical backend")
     else:
+        info = None
         loss_grads = partial(flat_loss_grads, pi=config.pi)
     if not dev_sets:
         raise ValueError("training needs at least one dev set to select checkpoints on")
 
     rng = np.random.default_rng(seed)
     params = get_params(backend)
-    dev_losses = evaluate_dev(with_params(backend, params))
+    dev_losses = evaluate_dev(_scorer(params, info))
     log = [Checkpoint(0, 0, 0.0, float("nan"), dev_losses, params)]
     best, batches_seen, diverged = log[0], 0, False
     for stage, (n_batches, lr) in enumerate((*config.stages, config.finetune)):
@@ -552,19 +559,23 @@ def train(
             X, y = train_set.vectors[idx], label_idx_all[idx]
             try:
                 loss, grads = loss_grads(params, X=X, label_idx=y, counts=counts)
+                params = adam_step(params, grads, state, lr)
+                running.append(loss)
+                batches_seen += 1
+                if batches_seen % config.checkpoint_every == 0 or b == n_batches - 1:
+                    train_loss = float(np.mean(running))
+                    dev_losses = evaluate_dev(_scorer(params, info))
+                    if not np.isfinite(dev_losses).all():
+                        raise FloatingPointError("non-finite dev loss")
+                    log.append(
+                        Checkpoint(len(log), batches_seen, lr, train_loss, dev_losses, params)
+                    )
+                    best = min(best, log[-1], key=lambda c: (c.avg_dev, c.index))
+                    running = []
             except FloatingPointError as exc:
                 logger.warning("training diverged (%s); falling back to best checkpoint", exc)
                 diverged = True
                 break
-            params = adam_step(params, grads, state, lr)
-            running.append(loss)
-            batches_seen += 1
-            if batches_seen % config.checkpoint_every == 0 or b == n_batches - 1:
-                train_loss = float(np.mean(running))
-                dev_losses = evaluate_dev(with_params(backend, params))
-                log.append(Checkpoint(len(log), batches_seen, lr, train_loss, dev_losses, params))
-                best = min(best, log[-1], key=lambda c: (c.avg_dev, c.index))
-                running = []
         if diverged:
             break
 

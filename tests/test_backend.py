@@ -311,6 +311,13 @@ class TestInitHier:
         with pytest.raises(ValueError, match="degenerate"):
             init_hier(train, singletons, None, 2, 1)
 
+    def test_one_cluster_degenerate(self):
+        rng = np.random.default_rng(16)
+        train, _, lang_means = self._clustered_data(rng)
+        one = cluster_priors({"a0": tuple(lang_means)})
+        with pytest.raises(ValueError, match="need at least 2 clusters"):
+            init_hier(train, one, None)
+
     def test_one_cluster_backend_rejected(self):
         # A consistent backend whose map has one cluster: the cluster's prior
         # is 1, its prior odds are infinite, and the combination scores nan.

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -350,6 +351,33 @@ class TestTrainCommand:
         assert code == 2
         assert "alpha > 0 needs kind 'hdplda'" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    # A step that overflows, just before a checkpoint or on the last batch,
+    # and a "dcf" run whose diverged checkpoint would read a DCF of 0.
+    DIVERGING = {
+        "checkpoint": {"stages": [[6, 1e308]], "checkpoint_every": 1},
+        "one-batch": {"stages": [[1, 1e308]]},
+        "dcf": {"batch_size": 32, "stages": [[3, 1e200]], "finetune": [1, 1e-5],
+                "checkpoint_every": 1, "select_metric": "dcf"},
+    }
+
+    @pytest.mark.parametrize("kind", ["dplda", "hdplda"])
+    @pytest.mark.parametrize("case", sorted(DIVERGING))
+    def test_divergence_keeps_a_model_that_scores(self, workdir, tmp_path, capsys, kind, case):
+        data = workdir / "data"
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, **self.DIVERGING[case]}))
+        model = tmp_path / "model.json"
+        argv = ["train", "--kind", kind, str(data / "train.tsv"), str(data / "dev.tsv"),
+                str(cfg), str(model), "--clusters", str(workdir / "clusters.json")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        dev = float(out.split(", dev ")[1].split(")")[0])
+        assert math.isfinite(dev) and dev > 0.0, out
+        log = model.with_suffix(".log.tsv").read_text().splitlines()
+        assert len(log) == 2  # the header and checkpoint 0
+        assert main(["score", str(model), str(data / "test.tsv"), str(tmp_path / "s.tsv")]) == 0
 
     def test_lda_dimension_above_the_embedding_dimension_exits_1(self, tmp_path, capsys):
         # Ten languages of 8-d embeddings: the default out_dim is 9.
@@ -781,6 +809,40 @@ def test_bad_number_is_config_error(workdir, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("langrec: config error:"), err
     assert "Traceback" not in err
+
+
+# kind -> an extra that only another kind reads
+OTHER_KIND_EXTRAS = {
+    "plda-out-dim1": ("plda", "out_dim1"),
+    "plda-out-dim2": ("plda", "out_dim2"),
+    "dplda-out-dim1": ("dplda", "out_dim1"),
+    "dplda-out-dim2": ("dplda", "out_dim2"),
+    "hdplda-out-dim": ("hdplda", "out_dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_KIND_EXTRAS))
+def test_another_kinds_extra_exits_2_before_reading_data(workdir, tmp_path, capsys, case):
+    # The data files do not exist: reading them first would exit 1.
+    kind, key = OTHER_KIND_EXTRAS[case]
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_CONFIG, key: 10000}))
+    argv = ["train", "--kind", kind, str(tmp_path / "absent.tsv"), str(tmp_path / "absent.tsv"),
+            str(cfg), str(tmp_path / "x.json")]
+    if kind == "hdplda":
+        argv += ["--clusters", str(workdir / "clusters.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"langrec: config error: unknown key {key!r} in {kind} train config\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["bogus"], 2), (["--help"], 0)])
+def test_usage_errors_exit_2_and_help_exits_0(capsys, argv, code):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: langrec")
 
 
 # Cluster-map files that are not an object of language lists.

@@ -13,6 +13,7 @@ from langrec.clustering import (
     linkage_merges,
     plda_distance_matrix,
 )
+from langrec.dataio import EmbeddingSet, per_language_means
 from langrec.plda import PldaModel
 from langrec.preproc import AffinePreproc
 
@@ -109,6 +110,16 @@ class TestDistanceMatrix:
         rng, model, preproc = self._setup(seed=3)
         with pytest.raises(ValueError, match="at least 2"):
             plda_distance_matrix({"a": rng.standard_normal(3)}, model, preproc)
+
+    def test_overflowing_distance_rejected(self):
+        # Two rows at 1e308 make language a's mean overflow.
+        rng, model, preproc = self._setup(seed=4)
+        X = np.vstack([[1e308, 0.0, 0.0]] * 2 + [rng.standard_normal(3)] * 2)
+        train = EmbeddingSet(["s0", "s1", "s2", "s3"], ["a", "a", "b", "b"], ["d"] * 4, X)
+        with np.errstate(all="ignore"):
+            means = per_language_means(train)
+            with pytest.raises(ValueError, match="non-finite PLDA distance between language means"):
+                plda_distance_matrix(means, model, preproc)
 
 
 class TestAgglomerate:

@@ -117,17 +117,15 @@ for n_iters in (0, 5):
 print(digest.hexdigest())
 """
 
-# The 16-d walkthrough of CI (.github/workflows/tier1.yml), with its configs,
-# through langrec.cli.main, warnings as errors; argv[1] is a new directory.
+# The README walkthrough at 16-d, through langrec.cli.main; argv[1] is a new
+# directory.
 WALKTHROUGH_SCRIPT = """
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from langrec.cli import main
 
-warnings.simplefilter("error")
 d = Path(sys.argv[1])
 d.mkdir()
 (d / "synth.json").write_text(json.dumps({"dim": 16, "cluster_sizes": [2, 2, 1],
@@ -156,14 +154,16 @@ for command in commands:
 """
 
 
-def score_hash(script: str, threads: int, *args: str) -> str:
+def score_hash(script: str, threads: int, *args: str, flags=()) -> str:
+    """The stdout of script run with args in a new interpreter, started with
+    the interpreter flags, at the given number of BLAS threads."""
     src = str(Path(langrec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -191,11 +191,15 @@ def test_em_fit_identical_with_one_and_two_blas_threads():
 
 
 def test_cli_walkthrough_writes_the_same_bytes_with_one_and_two_blas_threads(tmp_path):
-    # Every model, training log, cluster map, dendrogram, score and report.
+    """Every model, training log, cluster map, dendrogram, score and report,
+    in Python's development mode with warnings as errors, so that a warning
+    that escapes the entry point fails. The package keeps no module-level
+    state between commands, so one interpreter per run checks what one
+    interpreter per command would."""
     written = {}
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
-        score_hash(WALKTHROUGH_SCRIPT, threads, str(out))
+        score_hash(WALKTHROUGH_SCRIPT, threads, str(out), flags=("-X", "dev", "-W", "error"))
         written[threads] = {
             str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
         }

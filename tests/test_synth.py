@@ -16,6 +16,7 @@ from langrec.synth import (
     tune_hierarchy,
 )
 from langrec.training import TrainConfig
+from test_dataio import assert_same_set
 
 
 SMALL = SynthConfig(
@@ -49,7 +50,7 @@ class TestGenerate:
         a = generate(SMALL)
         b = generate(SMALL)
         for x, y in zip(a[:3], b[:3]):
-            assert x == y
+            assert_same_set(x, y)
 
     def test_different_seed_differs(self):
         other = SynthConfig(**{**SMALL.__dict__, "seed": 1})
@@ -209,6 +210,17 @@ class TestThresholdTuning:
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
         assert f"{threshold:.4g}" == "12.27"
         assert hier.cluster_map.cluster_languages == truth.cluster_languages
+
+
+    def test_two_languages_leave_no_candidate(self):
+        # One merge, so no midpoint between merge distances.
+        config = SynthConfig(dim=4, cluster_sizes=(2,), n_train=20, n_dev=5, n_test=5)
+        train, dev, _, _ = generate(config)
+        weights = balance_weights(train)
+        plda = generative_fit(train, weights).generative_backend()
+        dev_sets = [(dev, generate_trials(dev, plda.detector_labels))]
+        with pytest.raises(ValueError, match="no viable clustering threshold"):
+            tune_hierarchy(train, dev_sets, weights, plda, TrainConfig().pi)
 
 
 class TestRunComparison:

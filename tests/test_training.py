@@ -24,6 +24,7 @@ from langrec.training import (
     _softplus,
     adam_init,
     adam_step,
+    dev_evaluator,
     flat_loss_grads,
     get_params,
     hier_loss_grads,
@@ -697,6 +698,20 @@ def small_training_problem(seed=0, n_lang=4, dim=6, spread=4.0):
     return train_set, dev_set, trials, backend
 
 
+def training_problem(kind):
+    """(train set, dev sets, backend) of a small flat or hierarchical problem."""
+    if kind == "flat":
+        train_set, dev_set, trials, backend = small_training_problem()
+        return train_set, [(dev_set, trials)], backend
+    from test_backend import TestInitHier
+
+    rng = np.random.default_rng(21)
+    train_set, cmap, means = TestInitHier()._clustered_data(rng)
+    backend = init_hier(train_set, cmap, None, 2, 3)
+    dev_set = synthetic_set(rng, means, n_per=10, sigma=0.4, prefix="dev")
+    return train_set, [(dev_set, generate_trials(dev_set, backend.detector_labels))], backend
+
+
 class TestTrainLoop:
     CFG = TrainConfig(
         batch_size=64,
@@ -820,6 +835,68 @@ class TestTrainLoop:
         bad = FlatBackend(tuple(f"other{i}" for i in range(backend.n_detectors)), backend.theta)
         with pytest.raises(ValueError, match="without a detector"):
             train(bad, train_set, [(dev_set, trials)], self.CFG)
+
+
+class TestCheckpointScoring:
+    """Checkpoints are scored from their parameters, so the one backend that
+    train builds is the one it returns; a non-finite dev loss after the
+    first checkpoint is a divergence."""
+
+    CFG = TrainConfig(
+        batch_size=64, pi=0.1, stages=((6, 1e-3),), finetune=(2, 1e-4), checkpoint_every=2
+    )
+
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
+    def test_only_the_returned_backend_is_built(self, monkeypatch, kind):
+        built = []
+
+        def spy(backend, params):
+            built.append(with_params(backend, params))
+            return built[-1]
+
+        monkeypatch.setattr(langrec.training, "with_params", spy)
+        train_set, dev, backend = training_problem(kind)
+        result = train(backend, train_set, dev, self.CFG)
+        assert len(result.log) == 5
+        assert built == [result.backend]
+
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
+    def test_dev_losses_are_those_of_the_checkpoint_backends(self, kind):
+        train_set, dev, backend = training_problem(kind)
+        result = train(backend, train_set, dev, self.CFG)
+        [(dev_set, trials)] = dev
+        rows, cols = trial_index(dev_set, trials, backend.detector_labels)
+        for cp in result.log:
+            S = with_params(backend, cp.params).score_matrix(dev_set.vectors)
+            assert cp.dev_losses == (trial_bce(S[rows, cols], trials.is_target, self.CFG.pi),)
+
+    def test_dev_dcf_of_non_finite_scores_is_inf(self):
+        train_set, dev_set, trials, backend = small_training_problem()
+        evaluate = dev_evaluator(backend.detector_labels, [(dev_set, trials)], 0.1, "dcf")
+        rows, cols = trial_index(dev_set, trials, backend.detector_labels)
+        S = backend.score_matrix(dev_set.vectors)
+        assert evaluate(backend.score_matrix) == (actual_dcf(S[rows, cols], trials.is_target)[2],)
+        for bad in (np.nan, np.inf, -np.inf):
+            S_bad = S.copy()
+            S_bad[rows[0], cols[0]] = bad
+            assert evaluate(lambda X: S_bad) == (math.inf,)
+
+    @pytest.mark.parametrize("lr", [1e200, 1e300, 1e308])
+    @pytest.mark.parametrize("select_metric", ["loss", "dcf"])
+    @pytest.mark.parametrize("kind", ["flat", "hier"])
+    def test_a_step_that_blows_up_before_a_checkpoint_falls_back(
+        self, caplog, kind, select_metric, lr
+    ):
+        train_set, dev, backend = training_problem(kind)
+        cfg = dataclasses.replace(
+            self.CFG, stages=((3, lr),), checkpoint_every=1, select_metric=select_metric
+        )
+        with caplog.at_level("WARNING"):
+            result = train(backend, train_set, dev, cfg)
+        assert result.diverged and result.best_index == 0
+        assert any("diverged" in r.message for r in caplog.records)
+        assert all(np.isfinite(cp.avg_dev) for cp in result.log)
+        assert np.isfinite(result.backend.score_matrix(dev[0][0].vectors)).all()
 
 
 class TestSchedule:
@@ -1009,18 +1086,7 @@ class TestRowCounts:
 
     @pytest.mark.parametrize("kind", ["flat", "hier"])
     def test_train_scores_each_drawn_row_once(self, monkeypatch, kind):
-        if kind == "flat":
-            train_set, dev_set, trials, backend = small_training_problem()
-            dev = [(dev_set, trials)]
-        else:
-            from langrec.hier import init_hier
-            from test_backend import TestInitHier
-
-            rng = np.random.default_rng(21)
-            train_set, cmap, means = TestInitHier()._clustered_data(rng)
-            backend = init_hier(train_set, cmap, None, 2, 3)
-            dev_set = synthetic_set(rng, means, n_per=10, sigma=0.4, prefix="dev")
-            dev = [(dev_set, generate_trials(dev_set, backend.detector_labels))]
+        train_set, dev, backend = training_problem(kind)
         drawn, seen = [], []
 
         def draw(*args):
